@@ -32,8 +32,8 @@ namespace {
 constexpr std::string_view kDomain = "bench/dleq-fs/v1";
 
 // A tagging-shaped statement: DLEQ over (B, C1, C2) with witness z — the
-// 3-element proof the tally's tag chain produces once per ciphertext per
-// member (src/votegral/tagging.cpp).
+// 3-element proof the tally's tag chain produced once per ciphertext per
+// member before it moved to composite per-shard proofs.
 struct TagInstance {
   DleqStatement statement;  // wire-backed
   Scalar witness;

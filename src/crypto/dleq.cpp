@@ -1,9 +1,11 @@
 #include "src/crypto/dleq.h"
 
+#include <array>
 #include <string>
 
 #include "src/common/bytes.h"
 #include "src/common/serde.h"
+#include "src/crypto/msm.h"
 #include "src/crypto/sha512.h"
 
 namespace votegral {
@@ -198,8 +200,15 @@ Status VerifyDleqTranscript(const DleqStatement& statement, const DleqTranscript
     return Status::Error("dleq: commit count mismatch");
   }
   for (size_t i = 0; i < statement.bases.size(); ++i) {
-    RistrettoPoint expected =
-        transcript.response * statement.bases[i] + transcript.challenge * statement.publics[i];
+    // One shared-doubling ladder per pair instead of two full
+    // multiplications; a basepoint G_i rides the fixed-base table.
+    const RistrettoPoint& base = statement.bases[i];
+    const RistrettoPoint expected =
+        base == RistrettoPoint::Base()
+            ? RistrettoPoint::DoubleScalarMulBase(transcript.challenge, statement.publics[i],
+                                                  transcript.response)
+            : MultiScalarMul(std::array{transcript.response, transcript.challenge},
+                             std::array{base, statement.publics[i]});
     if (!(expected == transcript.commits[i])) {
       return Status::Error("dleq: verification equation failed");
     }

@@ -7,8 +7,9 @@
 //    in the sound commit→challenge→response order (§E.4),
 //  * TRIP fake credentials: the same transcript *simulated* from a known
 //    challenge (§E.5) — structurally valid, proves nothing,
-//  * verifiable decryption shares and deterministic tagging: non-interactive
-//    (Fiat–Shamir) variants over 2- and 3-element statements.
+//  * verifiable decryption shares and composite tagging proofs
+//    (src/votegral/tagging.h): non-interactive (Fiat–Shamir) variants over
+//    2-element statements.
 //
 // The transcript deliberately does not record which order was used: that is
 // the "voter's-eyes-only" bit at the heart of TRIP's coercion resistance

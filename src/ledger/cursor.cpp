@@ -15,8 +15,13 @@ bool LedgerCursor::Next(LedgerEntryView* out) {
     return false;
   }
   if (!pin_.Contains(pos_)) {
+    // Pin the cursor's whole range within this segment (Seek may revisit
+    // any of it) and nothing outside it: a one-record cursor reads one
+    // frame, a shard cursor its shard's slice.
+    const uint64_t segment_first = store_->SegmentOf(pos_) * store_->SegmentEntries();
     pin_ = PinnedSegment();  // release before pinning: one segment resident
-    pin_ = store_->Pin(store_->SegmentOf(pos_));
+    pin_ = store_->PinRange(std::max(begin_, segment_first),
+                            std::min(end_, segment_first + store_->SegmentEntries()));
   }
   *out = pin_.View(pos_);
   ++pos_;

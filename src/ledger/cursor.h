@@ -2,9 +2,11 @@
 //
 // A LedgerCursor walks entries [begin, end) in order, pinning one segment at
 // a time; the views it hands out alias the pinned segment, so at most one
-// segment's bytes are resident per cursor regardless of ledger size. Seek()
-// reuses the current pin when the target lands in the same segment, so
-// mostly-clustered random access (e.g. the registration index) stays cheap.
+// segment's bytes are resident per cursor regardless of ledger size — and
+// only the part of it inside the cursor's range, so a one-record cursor
+// reads one frame. Seek() reuses the current pin when the target lands in
+// the same segment, so mostly-clustered random access (e.g. the
+// registration index) stays cheap.
 //
 // Contract (the tally pipeline's reproducibility depends on it):
 //  * Views returned by Next() are valid until the next Next()/Seek() that

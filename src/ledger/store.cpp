@@ -194,14 +194,15 @@ uint64_t InMemoryLedgerStore::Append(const LedgerEntry& entry) {
   return entry.index;
 }
 
-PinnedSegment InMemoryLedgerStore::Pin(uint64_t segment) const {
-  Require(segment < SegmentCount(), "ledger store: pin of nonexistent segment");
+PinnedSegment InMemoryLedgerStore::PinRange(uint64_t begin, uint64_t end) const {
+  Require(begin < end && end <= entries_.size() && SegmentOf(begin) == SegmentOf(end - 1),
+          "ledger store: pin range outside one segment");
   PinnedSegment pin;
-  pin.first_index_ = segment * segment_entries_;
-  pin.count_ = std::min<uint64_t>(segment_entries_, entries_.size() - pin.first_index_);
+  pin.first_index_ = begin;
+  pin.count_ = end - begin;
   pin.views_.reserve(pin.count_);
-  for (size_t i = 0; i < pin.count_; ++i) {
-    const LedgerEntry& entry = entries_[pin.first_index_ + i];
+  for (uint64_t i = begin; i < end; ++i) {
+    const LedgerEntry& entry = entries_[i];
     pin.views_.push_back(LedgerEntryView{entry.index, entry.topic, entry.payload,
                                          entry.prev_hash, entry.entry_hash});
   }
@@ -389,6 +390,7 @@ Status FileLedgerStore::RecoverFromDisk() {
         return fail(in_segment, "entry hash mismatch (payload or header tampered)");
       }
       prev = view.entry_hash;
+      frame_end_.push_back(offset);
       ++expected_index;
       ++in_segment;
       if (last) {
@@ -467,6 +469,7 @@ uint64_t FileLedgerStore::Append(const LedgerEntry& entry) {
                     static_cast<std::streamsize>(frame.size()));
   active_out_.flush();
   Require(static_cast<bool>(active_out_), "ledger store: segment write failed");
+  frame_end_.push_back(FrameBegin(entry.index) + frame.size());
   active_.push_back(entry);
   ++size_;
   if (active_.size() == segment_entries_) {
@@ -524,23 +527,36 @@ void FileLedgerStore::SealActiveSegment() {
   active_first_ = size_;
 }
 
-PinnedSegment FileLedgerStore::Pin(uint64_t segment) const {
-  Require(segment < SegmentCount(), "ledger store: pin of nonexistent segment");
+uint64_t FileLedgerStore::FrameBegin(uint64_t index) const {
+  return index % segment_entries_ == 0 ? kSegmentHeaderBytes : frame_end_[index - 1];
+}
+
+PinnedSegment FileLedgerStore::PinRange(uint64_t begin, uint64_t end) const {
+  Require(begin < end && end <= size_ && SegmentOf(begin) == SegmentOf(end - 1),
+          "ledger store: pin range outside one segment");
   PinnedSegment pin;
-  pin.first_index_ = segment * segment_entries_;
-  pin.count_ = std::min<uint64_t>(segment_entries_, size_ - pin.first_index_);
+  pin.first_index_ = begin;
+  pin.count_ = end - begin;
   pin.views_.reserve(pin.count_);
-  if (!active_.empty() && pin.first_index_ == active_first_) {
+  if (!active_.empty() && begin >= active_first_) {
     // Active segment: view the in-memory entries directly.
-    for (const LedgerEntry& entry : active_) {
+    for (uint64_t i = begin; i < end; ++i) {
+      const LedgerEntry& entry = active_[i - active_first_];
       pin.views_.push_back(LedgerEntryView{entry.index, entry.topic, entry.payload,
                                            entry.prev_hash, entry.entry_hash});
     }
     return pin;
   }
-  auto bytes = ReadWholeFile(SegmentPath(segment));
-  Require(bytes.ok(), "ledger store: sealed segment vanished under a reader");
-  auto buffer = std::make_shared<Bytes>(std::move(*bytes));
+  // Sealed segment: read exactly the range's frames.
+  const uint64_t offset = FrameBegin(begin);
+  auto buffer = std::make_shared<Bytes>(frame_end_[end - 1] - offset);
+  {
+    std::ifstream in(SegmentPath(SegmentOf(begin)), std::ios::binary);
+    in.seekg(static_cast<std::streamoff>(offset));
+    in.read(reinterpret_cast<char*>(buffer->data()),
+            static_cast<std::streamsize>(buffer->size()));
+    Require(static_cast<bool>(in), "ledger store: sealed segment vanished under a reader");
+  }
   const uint64_t buffer_bytes = buffer->size();
   uint64_t now = pinned_bytes_.fetch_add(buffer_bytes) + buffer_bytes;
   uint64_t peak = peak_pinned_bytes_.load();
@@ -553,10 +569,10 @@ PinnedSegment FileLedgerStore::Pin(uint64_t segment) const {
         pinned_bytes_.fetch_sub(buffer_bytes);
         buffer.reset();
       });
-  size_t offset = kSegmentHeaderBytes;
-  for (size_t i = 0; i < pin.count_; ++i) {
+  size_t at = 0;
+  for (uint64_t i = begin; i < end; ++i) {
     LedgerEntryView view;
-    Require(ParseFrameView(*buffer, &offset, &view) == 1,
+    Require(ParseFrameView(*buffer, &at, &view) == 1 && view.index == i,
             "ledger store: sealed segment changed since recovery");
     pin.views_.push_back(view);
   }
@@ -584,6 +600,7 @@ void FileLedgerStore::TamperWithPayloadForTest(uint64_t index, Bytes payload) {
       entry.payload = payload;
     }
     AppendEntryFrame(&rewritten, entry);
+    frame_end_[entry.index] = rewritten.size();  // a new payload length moves later frames
   }
   const bool was_active = active_out_.is_open() && segment == size_ / segment_entries_;
   if (was_active) {

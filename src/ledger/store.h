@@ -32,6 +32,7 @@
 #ifndef SRC_LEDGER_STORE_H_
 #define SRC_LEDGER_STORE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -141,7 +142,15 @@ class LedgerStore {
 
   // Pins segment `segment` (< SegmentCount()) for reading. Thread-safe for
   // concurrent readers.
-  virtual PinnedSegment Pin(uint64_t segment) const = 0;
+  PinnedSegment Pin(uint64_t segment) const {
+    const uint64_t first = segment * SegmentEntries();
+    return PinRange(first, std::min<uint64_t>(first + SegmentEntries(), Size()));
+  }
+
+  // Pins only entries [begin, end), which must be non-empty and lie inside
+  // one segment — a one-record lookup materializes one entry, not its whole
+  // segment. Thread-safe for concurrent readers.
+  virtual PinnedSegment PinRange(uint64_t begin, uint64_t end) const = 0;
 
   // Human-readable backend description ("memory", "file:<dir>").
   virtual std::string Describe() const = 0;
@@ -160,7 +169,7 @@ class InMemoryLedgerStore final : public LedgerStore {
   uint64_t Append(const LedgerEntry& entry) override;
   uint64_t Size() const override { return entries_.size(); }
   size_t SegmentEntries() const override { return segment_entries_; }
-  PinnedSegment Pin(uint64_t segment) const override;
+  PinnedSegment PinRange(uint64_t begin, uint64_t end) const override;
   std::string Describe() const override { return "memory"; }
   void TamperWithPayloadForTest(uint64_t index, Bytes payload) override;
 
@@ -193,15 +202,17 @@ class FileLedgerStore final : public LedgerStore {
   uint64_t Append(const LedgerEntry& entry) override;
   uint64_t Size() const override { return size_; }
   size_t SegmentEntries() const override { return segment_entries_; }
-  PinnedSegment Pin(uint64_t segment) const override;
+  // Sealed ranges read exactly their frames' bytes (located through the
+  // frame-offset index) — never the whole segment file.
+  PinnedSegment PinRange(uint64_t begin, uint64_t end) const override;
   std::string Describe() const override { return "file:" + directory_; }
   void TamperWithPayloadForTest(uint64_t index, Bytes payload) override;
 
   const RecoveryStats& recovery_stats() const { return recovery_stats_; }
 
-  // Peak bytes of segment buffers pinned simultaneously since open — the
-  // "ledger-resident payload memory" the streaming bench bounds against
-  // O(segment size).
+  // Peak bytes of segment buffers pinned simultaneously since open (a
+  // range pin counts the bytes it read) — the "ledger-resident payload
+  // memory" the streaming bench bounds against O(segment size).
   uint64_t PeakPinnedBytes() const { return peak_pinned_bytes_.load(); }
 
   // Path of segment `segment`'s file (tests corrupt/remove these).
@@ -216,6 +227,8 @@ class FileLedgerStore final : public LedgerStore {
   // image — sealed flag set — to `<path>.tmp`, flushes, then renames over
   // the live file. Carries the faults::kLedgerSeal fault point.
   void SealActiveSegment();
+  // File offset where entry `index`'s frame begins.
+  uint64_t FrameBegin(uint64_t index) const;
 
   std::string directory_;
   size_t segment_entries_;
@@ -226,6 +239,10 @@ class FileLedgerStore final : public LedgerStore {
   uint64_t active_first_ = 0;
   std::ofstream active_out_;
   RecoveryStats recovery_stats_;
+  // Frame-offset index: frame_end_[i] is the byte offset just past entry
+  // i's frame in its segment file (a frame starts at the segment header or
+  // at the previous entry's end). Built at append and recovery time.
+  std::vector<uint64_t> frame_end_;
 
   mutable std::atomic<uint64_t> pinned_bytes_{0};
   mutable std::atomic<uint64_t> peak_pinned_bytes_{0};

@@ -66,6 +66,7 @@ class Election {
   TripSystem& trip() { return trip_; }
   const CandidateList& candidates() const { return candidates_; }
   PublicLedger& ledger() { return trip_.ledger(); }
+  const TaggingService& tagging() const { return tagging_; }
 
   // Registers `voter_id` in person (1 real + fake_count fakes) and activates
   // all credentials on the given device.

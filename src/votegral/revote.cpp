@@ -25,6 +25,11 @@ const std::vector<CounterEntry>& CounterEntries() {
       points[k] = p;
       p = p + RistrettoPoint::Base();
     }
+    // Encode on a private serial pool: a pool thread helping inside this
+    // initializer could pick up a sibling chunk that calls back in here and
+    // wait on the initialization guard it holds itself.
+    Executor serial(1);
+    Executor::Scope scope(serial);
     std::vector<CompressedRistretto> wires(kRevoteCounterLimit);
     BatchEncodePoints(points, wires);
     std::vector<CounterEntry> e(kRevoteCounterLimit);

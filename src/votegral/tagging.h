@@ -2,21 +2,31 @@
 // Weber et al. [153], Koenig et al. [82]).
 //
 // After mixing, each tallier t applies its secret exponent z_t to every
-// credential ciphertext on both lists (roster tags and ballot credentials),
-// proving consistency with its public commitment Z_t = z_t·B via a 3-element
-// Chaum–Pedersen proof per ciphertext. After all talliers, a ciphertext that
-// encrypted M encrypts (Πz_t)·M; verifiable decryption then yields blinded
-// tags that match iff the underlying plaintexts matched — the linear-time
-// filter that replaces JCJ/Civitas' quadratic pairwise PETs (§7.4).
+// credential ciphertext on both lists (roster tags and ballot credentials)
+// and proves consistency with its public commitment Z_t = z_t·B. After all
+// talliers, a ciphertext that encrypted M encrypts (Πz_t)·M; verifiable
+// decryption then yields blinded tags that match iff the underlying
+// plaintexts matched — the linear-time filter that replaces JCJ/Civitas'
+// quadratic pairwise PETs (§7.4).
+//
+// Proofs are composite (docs/TRANSCRIPTS.md §Composite tagging proofs,
+// RFC 9497 §2.2 ComputeComposites): one Chaum–Pedersen proof per (member,
+// shard) over the shard Executor::Shards(n, kRngShards) fixes. The prover
+// hashes the shard's input and output wire bytes into 128-bit weights
+// (d_i, e_i), forms M = Σ d_i·c1_i + e_i·c2_i and proves DLEQ (B, M; Z_t,
+// z_t·M). A shard therefore costs 2 variable-base multiplications per
+// ciphertext plus O(1), and blame lands on the (member, shard) whose proof
+// fails.
 //
 // Parallel architecture: talliers are inherently sequential (each consumes
-// the previous output), but within one tallier's pass every ciphertext is
-// independent, so Apply shards the list across the executor under forked
-// per-shard DRBG streams (proof nonces), keeping the step byte-identical at
-// any thread count. Chain verification folds every step's Chaum–Pedersen
-// proofs into one batched multi-scalar multiplication with deterministic
-// Fiat–Shamir weights, falling back to the per-item path to localize the
-// offending step and index on rejection.
+// the previous output), but within one tallier's pass every shard is
+// independent, so Apply fans the shards across the executor under forked
+// per-shard DRBG streams (one proof nonce each), keeping the step
+// byte-identical at any thread count. Chain verification expands every
+// composite equation into one batched multi-scalar multiplication with
+// deterministic weights — step t's outputs and step t+1's inputs share wire
+// keys, so they collapse into one term — and falls back to per-shard checks
+// to name the offending step and shard on rejection.
 #ifndef SRC_VOTEGRAL_TAGGING_H_
 #define SRC_VOTEGRAL_TAGGING_H_
 
@@ -34,13 +44,15 @@ namespace votegral {
 struct TaggingStep {
   size_t member_index = 0;
   std::vector<ElGamalCiphertext> output;
-  std::vector<DleqTranscript> proofs;  // one per ciphertext
+  // One composite proof per shard of Executor::Shards(output.size(),
+  // Executor::kRngShards), in shard order; commits are (y·B, y·M).
+  std::vector<DleqTranscript> proofs;
 
   // Canonical wire bytes of `output`, filled by the prover in the same
-  // parallel pass that computed the points (each proof's challenge hashes
-  // them anyway, so they are free to retain). Attacker data on the verify
+  // parallel pass that computed the points (each shard's proof hashes them
+  // anyway, so they are free to retain). Attacker data on the verify
   // side: VerifyChain decodes and recompares them before they may enter any
-  // statement cache — exactly the MixItem rule. Empty on legacy transcripts.
+  // weight hash — exactly the MixItem rule. Empty on legacy transcripts.
   std::vector<ElGamalWire> output_wire;
 
   bool HasWire() const { return !output.empty() && output_wire.size() == output.size(); }
@@ -56,13 +68,14 @@ class TaggingService {
   size_t size() const { return secrets_.size(); }
   const std::vector<RistrettoPoint>& commitments() const { return commitments_; }
 
-  // Member `i` exponentiates every ciphertext by z_i and proves it.
-  // Ciphertexts fan out across the executor; proof nonces come from forked
-  // per-shard streams, so the step is reproducible at any thread count.
+  // Member `i` exponentiates every ciphertext by z_i and proves it, one
+  // composite proof per shard. Shards fan out across the executor; proof
+  // nonces come from forked per-shard streams, so the step is reproducible
+  // at any thread count.
   //
   // `input_wire`, when non-empty, must be the canonical bytes of `input`
   // from a source the caller produced or validated (previous step's
-  // output_wire, a validated mix column); the proof statements then hash
+  // output_wire, a validated mix column); the weight hashes then read
   // those bytes instead of re-encoding the input points. The produced step
   // carries output_wire either way, and the transcript is byte-identical
   // with or without the threading.
@@ -70,32 +83,36 @@ class TaggingService {
                     Executor& executor = Executor::Global(),
                     std::span<const ElGamalWire> input_wire = {}) const;
 
-  // Pre-sizes a TaggingStep for an n-ciphertext pass by `member` (output,
-  // proofs, and output_wire resized; member_index set). Pair with
-  // ApplyShardRange for chunk-granular scheduling.
+  // Pre-sizes a TaggingStep for an n-ciphertext pass by `member` (output
+  // and output_wire resized, one proof slot per shard; member_index set).
+  // Pair with ApplyShard for chunk-granular scheduling.
   TaggingStep PrepareStep(size_t member, size_t n) const;
 
-  // Fills output slots [begin, end) of a PrepareStep'd `step`: exponentiates
-  // input[i] by z_member, encodes the output wire, and proves the DLEQ with
-  // nonces from `child` (the forked stream for this shard). `input_wire`,
-  // when non-empty, backs the statement caches exactly as in Apply;
-  // `commitment_wire` is the member's pre-encoded commitment. Disjoint
-  // ranges may run concurrently; the bytes produced are identical to
-  // Apply's for the same shard/seed split.
-  void ApplyShardRange(size_t member, std::span<const ElGamalCiphertext> input,
-                       std::span<const ElGamalWire> input_wire,
-                       const CompressedRistretto& commitment_wire, size_t begin, size_t end,
-                       Rng& child, TaggingStep& step) const;
+  // Fills shard `shard` of a PrepareStep'd `step` — output slots
+  // Executor::Shards(input.size(), kRngShards)[shard] and proofs[shard]:
+  // exponentiates each input by z_member, encodes the output wire, and
+  // proves the shard's composite DLEQ with one nonce from `child` (the
+  // forked stream for this shard). `input_wire` (required) holds the
+  // canonical bytes of `input` under Apply's trust rule; `commitment_wire`
+  // is the member's pre-encoded commitment. Distinct shards may run
+  // concurrently; the bytes produced are identical to Apply's for the same
+  // seed split.
+  void ApplyShard(size_t member, std::span<const ElGamalCiphertext> input,
+                  std::span<const ElGamalWire> input_wire,
+                  const CompressedRistretto& commitment_wire, size_t shard, Rng& child,
+                  TaggingStep& step) const;
 
-  // Verifies one member's step against its input and commitment, proof by
-  // proof (the localization path; names the first bad index).
-  static Status VerifyStep(const TaggingStep& step,
-                           const std::vector<ElGamalCiphertext>& input,
-                           const RistrettoPoint& commitment,
-                           Executor& executor = Executor::Global());
+  // ApplyShard's proving half: writes proofs[shard] over whatever outputs
+  // (and output wires) `step` holds in that shard, hashing
+  // `commitment_wire` as the member's published commitment. Public so the
+  // soundness tests can play a tagger that proves what it published.
+  void ProveShard(size_t member, std::span<const ElGamalCiphertext> input,
+                  std::span<const ElGamalWire> input_wire,
+                  const CompressedRistretto& commitment_wire, size_t shard, Rng& child,
+                  TaggingStep& step) const;
 
   // Runs all members sequentially, collecting each step and threading each
-  // step's wire bytes into the next statement's cache. Returns the final
+  // step's wire bytes into the next step's weight hashes. Returns the final
   // tagged ciphertexts.
   std::vector<ElGamalCiphertext> ApplyAll(const std::vector<ElGamalCiphertext>& input,
                                           std::vector<TaggingStep>* steps, Rng& rng,
@@ -103,16 +120,16 @@ class TaggingService {
                                           std::span<const ElGamalWire> input_wire = {}) const;
 
   // Verifies a full chain of steps (step i's input is step i-1's output).
-  // All steps' proofs are checked as one batched MSM with deterministic
-  // weights; on rejection the per-step path re-runs to name the offending
-  // member and index.
+  // Every step's composite proofs are expanded into one batched MSM with
+  // deterministic weights; on rejection each shard is re-checked on its own
+  // to name the offending step and shard ("step t shard s [begin, end)").
   //
   // Wire handling: every step's output_wire (attacker data) is decoded and
-  // recompared before it backs any statement cache — a stale cache is a
+  // recompared before it enters any weight hash — a stale cache is a
   // localized failure; steps without caches are encoded fresh, once per
-  // chain instead of once per proof. `input_wire` optionally supplies
-  // already-validated bytes for the chain input (the verifier threads the
-  // mix column caches VerifyRpcMixCascade checked).
+  // chain. `input_wire` optionally supplies already-validated bytes for the
+  // chain input (the verifier threads the mix column caches
+  // VerifyRpcMixCascade checked).
   static Status VerifyChain(const std::vector<ElGamalCiphertext>& input,
                             const std::vector<TaggingStep>& steps,
                             const std::vector<RistrettoPoint>& commitments,

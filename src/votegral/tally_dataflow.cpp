@@ -247,24 +247,23 @@ void SubmitChainNodes(TaskGraph& graph, const TallyService& service, ChainFlow& 
                         flow.tag_input_wire[i].begin());
             }
             ChaChaRng child(flow.tag_seeds[0][s]);
-            service.tagging().ApplyShardRange(0, flow.tag_input, flow.tag_input_wire,
-                                              flow.commitment_wires[0], begin, end, child,
-                                              (*flow.steps)[0]);
+            service.tagging().ApplyShard(0, flow.tag_input, flow.tag_input_wire,
+                                         flow.commitment_wires[0], s, child,
+                                         (*flow.steps)[0]);
           });
         },
         {last_layer_nodes[s]});
   }
   for (size_t m = 1; m < members; ++m) {
     for (size_t s = 0; s < shard_count; ++s) {
-      const auto [begin, end] = flow.shards[s];
       prev_member[s] = graph.Submit(
-          [&, m, s, begin, end] {
+          [&, m, s] {
             clock.Timed(kSTag, [&] {
               ChaChaRng child(flow.tag_seeds[m][s]);
-              service.tagging().ApplyShardRange(m, (*flow.steps)[m - 1].output,
-                                                (*flow.steps)[m - 1].output_wire,
-                                                flow.commitment_wires[m], begin, end, child,
-                                                (*flow.steps)[m]);
+              service.tagging().ApplyShard(m, (*flow.steps)[m - 1].output,
+                                           (*flow.steps)[m - 1].output_wire,
+                                           flow.commitment_wires[m], s, child,
+                                           (*flow.steps)[m]);
             });
           },
           {prev_member[s]});

@@ -133,7 +133,7 @@ TEST(Dleq, FiatShamirCannotBeSimulated) {
 }
 
 TEST(Dleq, VectorStatementAcrossThreePairs) {
-  // Tagging uses 3-element statements: same exponent on (B, C1, C2).
+  // A 3-element statement: same exponent on (B, C1, C2).
   ChaChaRng rng(78);
   Scalar z = Scalar::Random(rng);
   RistrettoPoint c1 = RistrettoPoint::FromUniformBytes(rng.RandomBytes(64));

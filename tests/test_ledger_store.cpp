@@ -213,6 +213,49 @@ TEST(FileLedgerStore, SealedSegmentsAreNotResident) {
       << "scan pinned more than O(segment) bytes";
 }
 
+TEST(FileLedgerStore, OneRecordLookupReadsOneFrame) {
+  ScratchDir dir("one_record");
+  auto expect_lookups = [](const Ledger& ledger) {
+    for (uint64_t index : {8u, 13u, 15u}) {
+      LedgerCursor cursor = ledger.Scan(index, index + 1);
+      LedgerEntryView view;
+      ASSERT_TRUE(cursor.Next(&view));
+      EXPECT_EQ(view.index, index);
+      EXPECT_EQ(Bytes(view.payload.begin(), view.payload.end()),
+                Payload("entry-" + std::to_string(index)));
+      EXPECT_FALSE(cursor.Next(&view));
+    }
+  };
+  {
+    Ledger ledger(FileConfig(dir.path, 8));
+    Fill(ledger, 64);
+    const auto& store = static_cast<const FileLedgerStore&>(ledger.store());
+    expect_lookups(ledger);
+    // Each lookup pinned one frame: well under a quarter of its segment file.
+    EXPECT_GT(store.PeakPinnedBytes(), 0u);
+    EXPECT_LT(store.PeakPinnedBytes(), fs::file_size(store.SegmentPath(1)) / 4);
+  }
+  // Reopened, the frame-offset index comes from recovery instead of appends.
+  auto reopened = Ledger::Open(FileConfig(dir.path, 8));
+  ASSERT_TRUE(reopened.ok()) << reopened.status.reason();
+  expect_lookups(*reopened);
+
+  // A payload rewrite that changes the frame length moves the later frames
+  // of the segment; range reads must follow.
+  reopened->TamperWithPayloadForTest(9, Payload("a much longer replacement payload"));
+  LedgerCursor cursor = reopened->Scan(9, 16);
+  LedgerEntryView view;
+  ASSERT_TRUE(cursor.Next(&view));
+  EXPECT_EQ(Bytes(view.payload.begin(), view.payload.end()),
+            Payload("a much longer replacement payload"));
+  for (uint64_t index = 10; index < 16; ++index) {
+    ASSERT_TRUE(cursor.Next(&view));
+    EXPECT_EQ(view.index, index);
+    EXPECT_EQ(Bytes(view.payload.begin(), view.payload.end()),
+              Payload("entry-" + std::to_string(index)));
+  }
+}
+
 TEST(FileLedgerStore, PublicLedgerOpenRebuildsDerivedState) {
   ScratchDir dir("public");
   ChaChaRng rng(4242);

@@ -277,6 +277,172 @@ TEST(Tagging, StepsOutOfOrderRejected) {
   EXPECT_FALSE(TaggingService::VerifyChain(cts, steps, tagging.commitments()).ok());
 }
 
+// --- Composite per-shard proofs ------------------------------------------------
+
+// A 4-member chain over `n` fresh ciphertexts.
+struct CompositeChain {
+  explicit CompositeChain(size_t n, uint64_t seed = 150)
+      : rng(seed),
+        authority(ElectionAuthority::Create(3, rng)),
+        tagging(TaggingService::Create(4, rng)) {
+    for (size_t i = 0; i < n; ++i) {
+      input.push_back(ElGamalEncrypt(authority.public_key(),
+                                     RistrettoPoint::FromUniformBytes(rng.RandomBytes(64)), rng));
+    }
+    (void)tagging.ApplyAll(input, &steps, rng);
+  }
+
+  const std::vector<ElGamalCiphertext>& StepInput(size_t t) const {
+    return t == 0 ? input : steps[t - 1].output;
+  }
+
+  // Re-proves shard `s` of step `t` over the outputs it now holds — the
+  // member proving what it published — then reruns the later members
+  // honestly over the result, as a coherent chain would.
+  std::vector<ElGamalWire> StepInputWire(size_t t) const {
+    std::vector<ElGamalWire> wire;
+    for (const ElGamalCiphertext& ct : StepInput(t)) {
+      wire.push_back(ct.Wire());
+    }
+    return wire;
+  }
+
+  void ProveAndRechain(size_t t, size_t s) {
+    tagging.ProveShard(t, StepInput(t), StepInputWire(t), tagging.commitments()[t].Encode(), s,
+                       rng, steps[t]);
+    Rechain(t + 1);
+  }
+
+  void Rechain(size_t from) {
+    for (size_t t = from; t < steps.size(); ++t) {
+      steps[t] = tagging.Apply(t, StepInput(t), rng);
+    }
+  }
+
+  Status Verify() const { return TaggingService::VerifyChain(input, steps, tagging.commitments()); }
+
+  ChaChaRng rng;
+  ElectionAuthority authority;
+  TaggingService tagging;
+  std::vector<ElGamalCiphertext> input;
+  std::vector<TaggingStep> steps;
+};
+
+bool Mentions(const Status& status, const std::string& text) {
+  return status.reason().find(text) != std::string::npos;
+}
+
+TEST(CompositeTagging, OneProofPerShardAndChainVerifies) {
+  for (size_t n : {size_t{0}, size_t{1}, size_t{63}, size_t{64}, size_t{130}}) {
+    CompositeChain chain(n);
+    for (const TaggingStep& step : chain.steps) {
+      EXPECT_EQ(step.proofs.size(), Executor::Shards(n, Executor::kRngShards).size())
+          << "n=" << n;
+      for (const DleqTranscript& proof : step.proofs) {
+        EXPECT_EQ(proof.commits.size(), 2u);
+      }
+    }
+    EXPECT_TRUE(chain.Verify().ok()) << "n=" << n << ": " << chain.Verify().reason();
+  }
+}
+
+TEST(CompositeTagging, ChainBytesDoNotDependOnThreadCount) {
+  CompositeChain serial(130, 151);
+  for (size_t threads : {size_t{2}, size_t{8}}) {
+    Executor pool(threads);
+    ChaChaRng rng(152);
+    std::vector<TaggingStep> steps;
+    std::vector<TaggingStep> reference;
+    ChaChaRng reference_rng(152);
+    Executor one(1);
+    (void)serial.tagging.ApplyAll(serial.input, &steps, rng, pool);
+    (void)serial.tagging.ApplyAll(serial.input, &reference, reference_rng, one);
+    ASSERT_EQ(steps.size(), reference.size());
+    for (size_t t = 0; t < steps.size(); ++t) {
+      ASSERT_EQ(steps[t].proofs.size(), reference[t].proofs.size());
+      for (size_t s = 0; s < steps[t].proofs.size(); ++s) {
+        EXPECT_EQ(steps[t].proofs[s].Serialize(), reference[t].proofs[s].Serialize())
+            << "threads=" << threads << " step " << t << " shard " << s;
+      }
+    }
+    EXPECT_TRUE(TaggingService::VerifyChain(serial.input, steps, serial.tagging.commitments(),
+                                            pool)
+                    .ok());
+  }
+}
+
+// 130 ciphertexts: shard 0 is [0, 3), shard 1 is [3, 6).
+TEST(CompositeTagging, OneWrongOutputInHonestShardLocalized) {
+  CompositeChain chain(130);
+  TaggingStep& step = chain.steps[1];
+  step.output[4].c2 = step.output[4].c2 + RistrettoPoint::Base();
+  step.output_wire[4] = step.output[4].Wire();
+  chain.ProveAndRechain(1, 1);
+  Status status = chain.Verify();
+  ASSERT_FALSE(status.ok());
+  EXPECT_TRUE(Mentions(status, "tagging: step 1 shard 1 [3, 6) proof invalid: composite equation"))
+      << status.reason();
+}
+
+TEST(CompositeTagging, SwappedOutputsWithinShardLocalized) {
+  CompositeChain chain(130);
+  TaggingStep& step = chain.steps[2];
+  std::swap(step.output[0], step.output[2]);
+  std::swap(step.output_wire[0], step.output_wire[2]);
+  chain.ProveAndRechain(2, 0);
+  Status status = chain.Verify();
+  ASSERT_FALSE(status.ok());
+  EXPECT_TRUE(Mentions(status, "tagging: step 2 shard 0 [0, 3) proof invalid: composite equation"))
+      << status.reason();
+}
+
+TEST(CompositeTagging, DeviantExponentForWholeShardLocalized) {
+  CompositeChain chain(130);
+  // Member 0 exponentiates shard 1 with a z' of its own choosing and proves
+  // it against its published commitment Z_0.
+  ChaChaRng rng(153);
+  TaggingService deviant = TaggingService::Create(1, rng);
+  ChaChaRng child(154);
+  deviant.ApplyShard(0, chain.input, chain.StepInputWire(0),
+                     chain.tagging.commitments()[0].Encode(), 1, child, chain.steps[0]);
+  chain.Rechain(1);
+  Status status = chain.Verify();
+  ASSERT_FALSE(status.ok());
+  EXPECT_TRUE(
+      Mentions(status, "tagging: step 0 shard 1 [3, 6) proof invalid: commitment equation"))
+      << status.reason();
+}
+
+TEST(CompositeTagging, OutputChangedAfterProvingLocalized) {
+  // Publishing different outputs than the proof hashed breaks the
+  // Fiat–Shamir binding before any group equation is evaluated.
+  CompositeChain chain(130);
+  TaggingStep& step = chain.steps[3];
+  step.output[129].c1 = step.output[129].c1 + RistrettoPoint::Base();
+  step.output_wire[129] = step.output[129].Wire();
+  Status status = chain.Verify();
+  ASSERT_FALSE(status.ok());
+  EXPECT_TRUE(Mentions(status, "tagging: step 3 shard 63 [128, 130) proof invalid: challenge"))
+      << status.reason();
+}
+
+TEST(CompositeTagging, ForgedCommitWireCacheLocalized) {
+  // A commit cache that is not the commit's encoding may not bind challenge
+  // bits, even when it is a valid encoding of some other point.
+  CompositeChain chain(130);
+  chain.steps[2].proofs[5].commit_wire[1] = RistrettoPoint::Base().Encode();
+  Status status = chain.Verify();
+  ASSERT_FALSE(status.ok());
+  EXPECT_TRUE(Mentions(status, "tagging: step 2 shard 5 [12, 14) proof invalid: dleq: commit"))
+      << status.reason();
+}
+
+TEST(CompositeTagging, WrongProofCountRejected) {
+  CompositeChain chain(130);
+  chain.steps[1].proofs.pop_back();
+  EXPECT_FALSE(chain.Verify().ok());
+}
+
 // Parameterized: mix + tag across batch sizes, checking the join property
 // end to end (same credential ends with same tag after mixing).
 class MixTagJoin : public ::testing::TestWithParam<size_t> {};

@@ -20,6 +20,7 @@ namespace {
 struct TalliedElection {
   std::array<uint8_t, 32> digest;       // extended: protocol bytes + wire caches
   std::array<uint8_t, 32> protocol_digest;  // pre-wire field set (golden-pinned)
+  std::array<uint8_t, 32> except_tag_proofs;  // extended digest minus tag proofs
   bool verified = false;
   TallyResult result;
 };
@@ -49,16 +50,25 @@ TalliedElection RunElection(size_t threads,
   TalliedElection out;
   out.digest = DigestTranscriptWithWire(output);
   out.protocol_digest = DigestTranscript(output);
+  out.except_tag_proofs = DigestTranscriptExceptTagProofs(output);
   out.verified = election.Verify(output).ok();
   out.result = output.result;
   return out;
 }
 
-// The protocol-byte digest of this fixed election, captured on the seed
-// immediately BEFORE the wire-byte DLEQ change: carrying cached encodings
-// through statements and transcripts must not move a single transcript byte.
-constexpr const char* kPreWireGoldenDigestHex =
-    "262d90190d8e305a0e0349ad4f6e77d80837691723f84fcf9208bc3e1c6edb3f";
+// The protocol-byte digest of this fixed election with composite
+// (per-shard) tagging proofs. It was 262d9019…edb3f while tagging carried one
+// proof per ciphertext; that value had held since before the wire-byte DLEQ
+// change, which moved no transcript byte.
+constexpr const char* kGoldenDigestHex =
+    "8bb0e71b037f6baa18adbe49a68e5c6b2a34bafd72030912a99e7e694419c3df";
+
+// DigestTranscriptExceptTagProofs of the same election, captured with
+// per-ciphertext tagging proofs: the composite proofs draw one nonce per
+// shard from the same forked per-shard streams, so no other byte — mix,
+// tag outputs and wires, shares, tags, result — may move.
+constexpr const char* kExceptTagProofsDigestHex =
+    "9cf8ab265e45b1d03a4d1f16ca151c306ce7a41f6d5e9a0302e22c42506af4ac";
 
 TEST(ParallelTally, TranscriptByteIdenticalAcrossThreadCounts) {
   TalliedElection serial = RunElection(1);
@@ -77,12 +87,17 @@ TEST(ParallelTally, TranscriptByteIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelTally, TranscriptByteIdenticalToPreWireSeed) {
-  // Every protocol byte — proofs, ciphertexts, tags, shares, mix wire — must
-  // equal the pre-wire-byte-DLEQ output: the wire caches are a transport for
-  // bytes the transcript already contained, never new protocol state.
+TEST(ParallelTally, TranscriptMatchesGoldenDigest) {
+  // Every protocol byte — proofs, ciphertexts, tags, shares, mix wire — is
+  // pinned; the wire caches are a transport for bytes the transcript already
+  // contains, never new protocol state.
   TalliedElection serial = RunElection(1);
-  EXPECT_EQ(HexEncode(serial.protocol_digest), kPreWireGoldenDigestHex);
+  EXPECT_EQ(HexEncode(serial.protocol_digest), kGoldenDigestHex);
+}
+
+TEST(ParallelTally, OnlyTagProofsDifferFromPerItemProofTranscript) {
+  TalliedElection serial = RunElection(1);
+  EXPECT_EQ(HexEncode(serial.except_tag_proofs), kExceptTagProofsDigestHex);
 }
 
 TEST(ParallelTally, TranscriptByteIdenticalAcrossFieldBackends) {
@@ -95,7 +110,7 @@ TEST(ParallelTally, TranscriptByteIdenticalAcrossFieldBackends) {
   TalliedElection scalar = RunElection(1);
   TalliedElection scalar_mt = RunElection(8);
   SetFeSimdBackendForTest(previous);
-  EXPECT_EQ(HexEncode(scalar.protocol_digest), kPreWireGoldenDigestHex);
+  EXPECT_EQ(HexEncode(scalar.protocol_digest), kGoldenDigestHex);
   EXPECT_EQ(scalar.digest, native.digest);
   EXPECT_EQ(scalar_mt.digest, native.digest);
   EXPECT_TRUE(scalar.verified);
@@ -109,11 +124,13 @@ TEST(ParallelTally, DataflowAndBarrierEnginesAreByteIdentical) {
   // every thread count, and both must pin the golden protocol digest.
   TalliedElection barrier = RunElection(1, TallyEngine::kBarrier);
   EXPECT_TRUE(barrier.verified);
-  EXPECT_EQ(HexEncode(barrier.protocol_digest), kPreWireGoldenDigestHex);
+  EXPECT_EQ(HexEncode(barrier.protocol_digest), kGoldenDigestHex);
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     TalliedElection dataflow = RunElection(threads, TallyEngine::kDataflow);
     EXPECT_EQ(dataflow.digest, barrier.digest) << "threads=" << threads;
     EXPECT_EQ(dataflow.protocol_digest, barrier.protocol_digest)
+        << "threads=" << threads;
+    EXPECT_EQ(HexEncode(dataflow.except_tag_proofs), kExceptTagProofsDigestHex)
         << "threads=" << threads;
     EXPECT_TRUE(dataflow.verified) << "threads=" << threads;
     EXPECT_EQ(dataflow.result.counts, barrier.result.counts)
@@ -187,9 +204,10 @@ TEST(ParallelVerifier, CorruptedTaggingProofLocalized) {
   ASSERT_FALSE(bad.transcript.roster_tag_steps.empty());
   // Swap one tagging output ciphertext for another — wire caches included,
   // so the caches stay internally consistent and it is the *proofs* that no
-  // longer verify; the batched chain check falls back per-item. (Swapping
-  // points alone is caught earlier, as a stale wire cache — see
-  // CorruptedTaggingWireCacheLocalized.)
+  // longer verify; the batched chain check falls back per shard and names
+  // the shard holding index 0 (this small election has one ciphertext per
+  // shard). (Swapping points alone is caught earlier, as a stale wire cache
+  // — see CorruptedTaggingWireCacheLocalized.)
   auto& step = bad.transcript.roster_tag_steps[0];
   ASSERT_GT(step.output.size(), 1u);
   std::swap(step.output[0], step.output[1]);
@@ -197,7 +215,8 @@ TEST(ParallelVerifier, CorruptedTaggingProofLocalized) {
   std::swap(step.output_wire[0], step.output_wire[1]);
   Status status = f.election.Verify(bad);
   ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.reason().find("tagging: proof 0 invalid"), std::string::npos)
+  EXPECT_NE(status.reason().find("tagging: step 0 shard 0 [0, 1) proof invalid"),
+            std::string::npos)
       << status.reason();
 }
 

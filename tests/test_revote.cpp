@@ -201,6 +201,7 @@ ElectionConfig RevoteConfig(size_t threads, TallyEngine engine) {
 struct RevoteTallied {
   std::array<uint8_t, 32> digest;
   std::array<uint8_t, 32> protocol_digest;
+  std::array<uint8_t, 32> except_tag_proofs;
   bool verified = false;
   TallyResult result;
 };
@@ -229,16 +230,23 @@ RevoteTallied RunRevoteElection(size_t threads, TallyEngine engine) {
   RevoteTallied out;
   out.digest = DigestTranscriptWithWire(output);
   out.protocol_digest = DigestTranscript(output);
+  out.except_tag_proofs = DigestTranscriptExceptTagProofs(output);
   out.verified = election.Verify(output).ok();
   out.result = output.result;
   return out;
 }
 
-// Golden protocol digest of the fixed revote election above (captured at the
-// introduction of revoting; serial barrier run). Any change to a revote
-// transcript byte shows up here.
+// Golden protocol digest of the fixed revote election above (serial barrier
+// run). Any change to a revote transcript byte shows up here. It was
+// 7963fb1c…8dbe from the introduction of revoting until tagging steps moved
+// to composite per-shard proofs.
 constexpr const char* kRevoteGoldenDigestHex =
-    "7963fb1c74985888d079aff8988384732b0c69d0e3d98e67e0a4f2be927e8dbe";
+    "c03c0a9be335c9e85c8806e4875455cf479919b0a3e6306aadd33d67fb1c6e13";
+
+// DigestTranscriptExceptTagProofs of the same election, captured with
+// per-ciphertext tagging proofs: only tag-step proofs may have changed.
+constexpr const char* kRevoteExceptTagProofsDigestHex =
+    "913fe2ae894854f48662c33af63350acfbc9f29ec1cadbcc5631a53b966de8cc";
 
 TEST(RevoteElection, LastVotePerCredentialCounts) {
   RevoteTallied tallied = RunRevoteElection(0, TallyEngine::kDataflow);
@@ -261,6 +269,7 @@ TEST(RevoteElection, TranscriptByteIdenticalAcrossThreadsAndEngines) {
   RevoteTallied barrier = RunRevoteElection(1, TallyEngine::kBarrier);
   EXPECT_TRUE(barrier.verified);
   EXPECT_EQ(HexEncode(barrier.protocol_digest), kRevoteGoldenDigestHex);
+  EXPECT_EQ(HexEncode(barrier.except_tag_proofs), kRevoteExceptTagProofsDigestHex);
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     for (TallyEngine engine : {TallyEngine::kBarrier, TallyEngine::kDataflow}) {
       RevoteTallied other = RunRevoteElection(threads, engine);

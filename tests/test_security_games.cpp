@@ -11,6 +11,11 @@
 //    without tripping the VSD's activation checks. We enumerate its
 //    strategies against the real checks.
 //
+//  * Tagger soundness: a tagging member that deviates inside one shard —
+//    a wrong output, a permutation, or an exponent z' other than its
+//    committed z — must be rejected and blamed on that (step, shard), even
+//    when it proves over exactly what it published.
+//
 // These are sanity executions of the games, not proofs — the value is that
 // every observable and check referenced by the paper's argument exists in
 // the code and behaves as the proof assumes.
@@ -22,6 +27,7 @@
 #include "src/crypto/drbg.h"
 #include "src/trip/attacks.h"
 #include "src/votegral/election.h"
+#include "src/votegral/mixnet.h"
 
 namespace votegral {
 namespace {
@@ -369,6 +375,117 @@ TEST(IntegrityGame, TamperingAfterRegistrationIsDetected) {
   Bytes forged = voter->paper.real.checkout.Serialize();
   system.ledger().mutable_registration_log().TamperWithPayloadForTest(0, forged);
   EXPECT_FALSE(system.ledger().VerifyChains().ok());
+}
+
+// ---------------------------------------------------------------------------
+// Tagger soundness (composite per-shard proofs)
+// ---------------------------------------------------------------------------
+
+// One tallied election with 70 ballots, so the ballot tagging chain's shards
+// hold two ciphertexts each at the front (shard 0 is [0, 2)).
+class TaggerGame : public ::testing::Test {
+ protected:
+  static constexpr size_t kVoters = 70;
+
+  static void SetUpTestSuite() {
+    rng_ = new ChaChaRng(720);
+    ElectionConfig config = GameConfig(kVoters - 1);
+    election_ = new Election(config, *rng_);
+    Vsd vsd = election_->trip().MakeVsd();
+    for (const std::string& id : config.roster) {
+      auto voter = election_->Register(id, 0, vsd, *rng_);
+      ASSERT_TRUE(voter.ok()) << voter.status.reason();
+      ASSERT_TRUE(election_->Cast(voter->activated[0], "true-choice", *rng_).ok());
+    }
+    honest_ = new TallyOutput(election_->Tally(*rng_));
+  }
+
+  static void TearDownTestSuite() {
+    delete honest_;
+    delete election_;
+    delete rng_;
+  }
+
+  // The input of ballot tagging step t and its (validated) wire bytes.
+  static std::vector<ElGamalCiphertext> StepInput(const TallyOutput& out, size_t t) {
+    return t == 0 ? BatchColumn(out.transcript.ballot_mix_output, 1)
+                  : out.transcript.ballot_tag_steps[t - 1].output;
+  }
+  static std::vector<ElGamalWire> StepInputWire(const TallyOutput& out, size_t t) {
+    return t == 0 ? BatchColumnWire(out.transcript.ballot_mix_output, 1)
+                  : out.transcript.ballot_tag_steps[t - 1].output_wire;
+  }
+
+  // Member t proves shard s over whatever its step now publishes.
+  static void Reprove(TallyOutput& out, size_t t, size_t s) {
+    const TaggingService& tagging = election_->tagging();
+    tagging.ProveShard(t, StepInput(out, t), StepInputWire(out, t),
+                       tagging.commitments()[t].Encode(), s, *rng_,
+                       out.transcript.ballot_tag_steps[t]);
+  }
+
+  // Both verifiers must reject, blaming `blame` (step, shard and range).
+  static void ExpectRejected(const TallyOutput& out, const std::string& blame) {
+    Status chain = TaggingService::VerifyChain(
+        StepInput(out, 0), out.transcript.ballot_tag_steps,
+        election_->tagging().commitments(), election_->executor(), StepInputWire(out, 0));
+    ASSERT_FALSE(chain.ok());
+    EXPECT_NE(chain.reason().find(blame), std::string::npos) << chain.reason();
+    Status full = election_->Verify(out);
+    ASSERT_FALSE(full.ok());
+    EXPECT_NE(full.reason().find("verifier: ballot tagging: " + blame), std::string::npos)
+        << full.reason();
+  }
+
+  static ChaChaRng* rng_;
+  static Election* election_;
+  static TallyOutput* honest_;
+};
+
+ChaChaRng* TaggerGame::rng_ = nullptr;
+Election* TaggerGame::election_ = nullptr;
+TallyOutput* TaggerGame::honest_ = nullptr;
+
+TEST_F(TaggerGame, HonestTranscriptHasOneProofPerShard) {
+  const auto shards = Executor::Shards(kVoters, Executor::kRngShards);
+  ASSERT_EQ(shards[0], (std::pair<size_t, size_t>{0, 2}));
+  ASSERT_EQ(honest_->transcript.ballot_tag_steps.size(), 4u);
+  for (const TaggingStep& step : honest_->transcript.ballot_tag_steps) {
+    EXPECT_EQ(step.output.size(), kVoters);
+    EXPECT_EQ(step.proofs.size(), shards.size());
+  }
+  EXPECT_TRUE(election_->Verify(*honest_).ok());
+}
+
+TEST_F(TaggerGame, OneWrongOutputInAnOtherwiseHonestShard) {
+  TallyOutput out = *honest_;
+  TaggingStep& step = out.transcript.ballot_tag_steps[1];
+  step.output[1].c2 = step.output[1].c2 + RistrettoPoint::Base();
+  step.output_wire[1] = step.output[1].Wire();
+  Reprove(out, 1, 0);
+  ExpectRejected(out, "tagging: step 1 shard 0 [0, 2) proof invalid: composite equation failed");
+}
+
+TEST_F(TaggerGame, TwoOutputsSwappedWithinAShard) {
+  TallyOutput out = *honest_;
+  TaggingStep& step = out.transcript.ballot_tag_steps[2];
+  std::swap(step.output[0], step.output[1]);
+  std::swap(step.output_wire[0], step.output_wire[1]);  // caches stay consistent
+  Reprove(out, 2, 0);
+  ExpectRejected(out, "tagging: step 2 shard 0 [0, 2) proof invalid: composite equation failed");
+}
+
+TEST_F(TaggerGame, DeviantExponentForAWholeShard) {
+  // Member 3 tags shard 0 with its own z' and proves that against its
+  // published Z_3 — the challenge binds, the commitment equation cannot.
+  TallyOutput out = *honest_;
+  ChaChaRng rng(721);
+  TaggingService deviant = TaggingService::Create(4, rng);
+  deviant.ApplyShard(3, StepInput(out, 3), StepInputWire(out, 3),
+                     election_->tagging().commitments()[3].Encode(), 0, rng,
+                     out.transcript.ballot_tag_steps[3]);
+  ExpectRejected(out,
+                 "tagging: step 3 shard 0 [0, 2) proof invalid: commitment equation failed");
 }
 
 }  // namespace

@@ -10,6 +10,9 @@
 // DigestTranscriptWithWire additionally folds in the wire caches introduced
 // by the wire-byte DLEQ PR (tagging output wires, DLEQ commit wires); the
 // cross-thread and cross-backend identity tests compare that one.
+// DigestTranscriptExceptTagProofs is the extended digest minus the tagging
+// steps' proofs (and their commit caches): the contract that a change to
+// the tag-proof format moves no other transcript byte.
 #ifndef TESTS_TRANSCRIPT_DIGEST_H_
 #define TESTS_TRANSCRIPT_DIGEST_H_
 
@@ -20,7 +23,8 @@
 
 namespace votegral {
 
-inline std::array<uint8_t, 32> DigestTranscript(const TallyOutput& output) {
+inline std::array<uint8_t, 32> DigestTranscript(const TallyOutput& output,
+                                                bool include_tag_proofs = true) {
   Sha256 h;
   auto hash_u64 = [&](uint64_t v) {
     uint8_t buf[8];
@@ -57,6 +61,9 @@ inline std::array<uint8_t, 32> DigestTranscript(const TallyOutput& output) {
       hash_u64(step.member_index);
       for (const ElGamalCiphertext& ct : step.output) {
         h.Update(ct.Serialize());
+      }
+      if (!include_tag_proofs) {
+        continue;
       }
       for (const DleqTranscript& proof : step.proofs) {
         h.Update(proof.Serialize());
@@ -144,9 +151,10 @@ inline std::array<uint8_t, 32> DigestTranscript(const TallyOutput& output) {
   return h.Finalize();
 }
 
-inline std::array<uint8_t, 32> DigestTranscriptWithWire(const TallyOutput& output) {
+inline std::array<uint8_t, 32> DigestTranscriptWithWire(const TallyOutput& output,
+                                                        bool include_tag_proofs = true) {
   Sha256 h;
-  h.Update(DigestTranscript(output));
+  h.Update(DigestTranscript(output, include_tag_proofs));
   auto hash_u64 = [&](uint64_t v) {
     uint8_t buf[8];
     StoreLe64(buf, v);
@@ -163,6 +171,9 @@ inline std::array<uint8_t, 32> DigestTranscriptWithWire(const TallyOutput& outpu
       hash_u64(step.output_wire.size());
       for (const ElGamalWire& wire : step.output_wire) {
         h.Update(wire);
+      }
+      if (!include_tag_proofs) {
+        continue;
       }
       for (const DleqTranscript& proof : step.proofs) {
         hash_proof_wire(proof);
@@ -188,6 +199,10 @@ inline std::array<uint8_t, 32> DigestTranscriptWithWire(const TallyOutput& outpu
     hash_shares_wire(t.revote.counter_shares);
   }
   return h.Finalize();
+}
+
+inline std::array<uint8_t, 32> DigestTranscriptExceptTagProofs(const TallyOutput& output) {
+  return DigestTranscriptWithWire(output, /*include_tag_proofs=*/false);
 }
 
 }  // namespace votegral
