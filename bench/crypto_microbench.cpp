@@ -9,7 +9,6 @@
 #include "src/crypto/dleq.h"
 #include "src/crypto/drbg.h"
 #include "src/crypto/elgamal.h"
-#include "src/crypto/fe25519_x4.h"
 #include "src/crypto/modp.h"
 #include "src/crypto/msm.h"
 #include "src/crypto/schnorr.h"
@@ -361,118 +360,6 @@ void BM_ScalarWideReduction(benchmark::State& state) {
 }
 BENCHMARK(BM_ScalarWideReduction);
 
-// ---- 4-way field backend: X4 kernels vs 4 scalar calls ----
-//
-// Each X4 bench runs on whatever backend dispatch picked (scalar on machines
-// without AVX2/NEON; force with VOTEGRAL_SIMD=off to measure the portable
-// lanes); the *4x baselines do the same work through the scalar layer. The
-// BENCH_msm.json ratio of the pair is the vectorization speedup.
-
-// 8 independent X4 vectors (32 field elements) per iteration on both sides,
-// so scalar and vector paths expose the same instruction-level parallelism
-// and the ratio measures throughput, not one dependency chain's latency.
-inline constexpr size_t kFeBenchVecs = 8;
-
-struct FeX4Fixture {
-  Fe25519 a[4 * kFeBenchVecs];
-  Fe25519 b[4 * kFeBenchVecs];
-  Fe25519X4 va[kFeBenchVecs];
-  Fe25519X4 vb[kFeBenchVecs];
-
-  FeX4Fixture() {
-    ChaChaRng rng(26);
-    for (size_t k = 0; k < 4 * kFeBenchVecs; ++k) {
-      Bytes bytes = rng.RandomBytes(32);
-      bytes[31] &= 0x7f;
-      a[k] = FeFromBytes(bytes);
-      bytes = rng.RandomBytes(32);
-      bytes[31] &= 0x7f;
-      b[k] = FeFromBytes(bytes);
-    }
-    for (size_t v = 0; v < kFeBenchVecs; ++v) {
-      va[v] = FeX4FromLanes(&a[4 * v]);
-      vb[v] = FeX4FromLanes(&b[4 * v]);
-    }
-  }
-};
-
-void BM_FeMulScalar4x(benchmark::State& state) {
-  FeX4Fixture fx;
-  for (auto _ : state) {
-    for (size_t k = 0; k < 4 * kFeBenchVecs; ++k) {
-      fx.a[k] = FeMul(fx.a[k], fx.b[k]);
-    }
-    benchmark::DoNotOptimize(fx.a);
-  }
-  state.SetItemsProcessed(state.iterations() * 4 * kFeBenchVecs);
-}
-BENCHMARK(BM_FeMulScalar4x);
-
-void BM_FeMulX4(benchmark::State& state) {
-  FeX4Fixture fx;
-  for (auto _ : state) {
-    for (size_t v = 0; v < kFeBenchVecs; ++v) {
-      FeMulX4(fx.va[v], fx.va[v], fx.vb[v]);
-    }
-    benchmark::DoNotOptimize(fx.va);
-  }
-  state.SetItemsProcessed(state.iterations() * 4 * kFeBenchVecs);
-  state.SetLabel(FeSimdBackendName(ActiveFeSimdBackend()));
-}
-BENCHMARK(BM_FeMulX4);
-
-void BM_FeSquareScalar4x(benchmark::State& state) {
-  FeX4Fixture fx;
-  for (auto _ : state) {
-    for (size_t k = 0; k < 4 * kFeBenchVecs; ++k) {
-      fx.a[k] = FeSquare(fx.a[k]);
-    }
-    benchmark::DoNotOptimize(fx.a);
-  }
-  state.SetItemsProcessed(state.iterations() * 4 * kFeBenchVecs);
-}
-BENCHMARK(BM_FeSquareScalar4x);
-
-void BM_FeSquareX4(benchmark::State& state) {
-  FeX4Fixture fx;
-  for (auto _ : state) {
-    for (size_t v = 0; v < kFeBenchVecs; ++v) {
-      FeSquareX4(fx.va[v], fx.va[v]);
-    }
-    benchmark::DoNotOptimize(fx.va);
-  }
-  state.SetItemsProcessed(state.iterations() * 4 * kFeBenchVecs);
-  state.SetLabel(FeSimdBackendName(ActiveFeSimdBackend()));
-}
-BENCHMARK(BM_FeSquareX4);
-
-void BM_FeInvSqrtScalar4x(benchmark::State& state) {
-  FeX4Fixture fx;
-  for (auto _ : state) {
-    for (size_t k = 0; k < 4; ++k) {
-      benchmark::DoNotOptimize(FeInvSqrt(fx.a[k]));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * 4);
-}
-BENCHMARK(BM_FeInvSqrtScalar4x);
-
-void BM_FeInvSqrtX4(benchmark::State& state) {
-  FeX4Fixture fx;
-  SqrtRatioResult out[4];
-  // Pin the 4-wide kernel route: this row measures the kernel itself, not
-  // the calibration gate's pick (production encodes get whichever is faster).
-  const int previous_mode = SetFeInvSqrtX4ModeForTest(1);
-  for (auto _ : state) {
-    FeInvSqrtX4(fx.a, out);
-    benchmark::DoNotOptimize(out);
-  }
-  SetFeInvSqrtX4ModeForTest(previous_mode);
-  state.SetItemsProcessed(state.iterations() * 4);
-  state.SetLabel(FeSimdBackendName(ActiveFeSimdBackend()));
-}
-BENCHMARK(BM_FeInvSqrtX4);
-
 void BM_RistrettoBatchEncode(benchmark::State& state) {
   ChaChaRng rng(27);
   const size_t n = static_cast<size_t>(state.range(0));
@@ -487,7 +374,6 @@ void BM_RistrettoBatchEncode(benchmark::State& state) {
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-  state.SetLabel(FeSimdBackendName(ActiveFeSimdBackend()));
 }
 BENCHMARK(BM_RistrettoBatchEncode)->Arg(256)->Unit(benchmark::kMicrosecond);
 

@@ -12,7 +12,8 @@
 //  * Full revote tallies off a file-backed segmented ledger, sweeping
 //    revote rate x ballot count: end-to-end wall clock, the dedup stage's
 //    busy time, padding overhead (dummy groups/items), and the streaming
-//    contract — peak pinned ledger payload stays O(one segment), not O(N),
+//    contract — peak pinned ledger payload stays within
+//    (threads+2)·(2·segment + 64 KiB), i.e. O(threads × segment), not O(N),
 //    even though the dedup pipeline mixes ~3.3N padded width-3 items.
 //  * Supersession accounting: every run cross-checks superseded /
 //    unmatched-tag discards against the forged corpus and the published
@@ -548,15 +549,16 @@ void Main(int argc, char** argv) {
   std::printf("Wrote %s\n", options.out.c_str());
 
   // The streaming claim under revoting: even with the padded width-3 dedup
-  // mix in flight, peak pinned ledger payload stays O(one segment) — the
-  // dedup pipeline works on parsed ballots, never on pinned segments.
+  // mix in flight, peak pinned ledger payload stays within
+  // (threads+2)·(2·segment + 64 KiB) — the dedup pipeline works on parsed
+  // ballots, never on pinned segments.
   for (const TallyRow& row : tally_rows) {
     const double segment_payload_bytes = static_cast<double>(row.ledger_payload_bytes) /
                                          static_cast<double>(row.segments);
     const double segment_bound = (static_cast<double>(options.threads) + 2.0) *
                                  (segment_payload_bytes * 2.0 + 65536.0);
     Require(static_cast<double>(row.peak_pinned_bytes) <= segment_bound,
-            "fig_revote: peak pinned bytes not O(segment)");
+            "fig_revote: peak pinned bytes exceed (threads+2)*(2*segment + 64 KiB)");
   }
 }
 

@@ -222,7 +222,7 @@ class Executor {
 // A dependency-counting task graph on an Executor: Submit() wires a node
 // under its dependencies and schedules it the moment the last one finishes,
 // so independent flows overlap at chunk granularity instead of meeting at
-// stage-wide barriers (the dataflow tally pipeline sits on this, with
+// stage-wide barriers (the tally pipeline sits on this, with
 // ParallelFor-based kernels free to run inside node bodies).
 //
 // Determinism: the graph never decides *what* runs, only *when* — node

@@ -1,103 +1,30 @@
-// Four-way batch arithmetic over GF(2^255 - 19).
-//
-// The scalar field layer (src/crypto/fe25519.h) works in radix 2^51 with
-// 64x64->128 products — a shape no 4-lane integer SIMD unit can express.
-// This layer re-represents four independent field elements in the classic
-// ref10 radix-2^25.5 form (ten limbs alternating 26 and 25 bits) laid out
-// limb-major, so that one 32x32->64 vector multiply (`_mm256_mul_epu32`,
-// NEON `vmull_u32`) advances the same partial product in all four lanes at
-// once. Every backend — portable scalar loops, AVX2, NEON — runs the exact
-// same limb algorithm, so their outputs are bit-identical by construction;
-// the differential tests in tests/test_fe25519_x4.cpp pin this.
-//
-// Agreement with the scalar layer is canonical, not representational: a lane
-// of FeMulX4 and the matching FeMul compute the same residue mod p but may
-// hold it in different loose-limb forms. That distinction can never reach a
-// transcript — every published byte goes through FeToBytes (canonical) and
-// every comparison through FeEqual (canonical) — which is why flipping
-// VOTEGRAL_SIMD cannot move a single transcript byte.
-//
-// Backend selection happens once, at first use: AVX2 when the CPU has it
-// (x86-64), NEON on aarch64, portable otherwise. `VOTEGRAL_SIMD=off` (or
-// `scalar`) in the environment forces the portable backend;
-// `VOTEGRAL_SIMD=avx2` / `neon` force a specific SIMD backend when compiled
-// in. Tests may override per-process via SetFeSimdBackendForTest.
+// Compatibility names for the election-lifecycle benchmark (lifebench/), kept
+// from the removed 4-way field layer. Only lifebench calls them; each is the
+// plain scalar operation, and nothing under src/ may use them.
 #ifndef SRC_CRYPTO_FE25519_X4_H_
 #define SRC_CRYPTO_FE25519_X4_H_
 
 #include <cstdint>
 
 #include "src/crypto/fe25519.h"
+#include "src/crypto/ristretto.h"
 
 namespace votegral {
 
-// Four field elements in limb-major (structure-of-arrays) layout:
-// limb[i][k] is limb i of lane k. Limb i carries 26 - (i & 1) bits plus the
-// usual loose-reduction slack; every public operation returns limbs with
-// even limbs <= 2^26 and odd limbs < 2^25 + 2^14 (safe inputs for the next
-// multiply without an intermediate carry).
-struct Fe25519X4 {
-  alignas(32) uint64_t limb[10][4];
-};
+enum class FeSimdBackend : uint8_t { kScalar = 0 };
 
-enum class FeSimdBackend : uint8_t { kScalar = 0, kAvx2 = 1, kNeon = 2 };
+inline const char* FeSimdBackendName(FeSimdBackend) { return "scalar"; }
+inline FeSimdBackend ActiveFeSimdBackend() { return FeSimdBackend::kScalar; }
 
-// Name for logs/benches ("scalar", "avx2", "neon").
-const char* FeSimdBackendName(FeSimdBackend backend);
+inline void FeInvSqrtX4(const Fe25519 v[4], SqrtRatioResult out[4]) {
+  for (int k = 0; k < 4; ++k) out[k] = FeInvSqrt(v[k]);
+}
 
-// True when the backend's kernels are compiled in AND the running CPU can
-// execute them. kScalar is always available.
-bool FeSimdBackendAvailable(FeSimdBackend backend);
-
-// The backend in use (chosen once at first use; see header comment).
-FeSimdBackend ActiveFeSimdBackend();
-
-// Test hook: force a backend for the rest of the process (must be
-// available); returns the previously active backend. Not thread-safe
-// against concurrent X4 calls — call only from test setup between parallel
-// regions.
-FeSimdBackend SetFeSimdBackendForTest(FeSimdBackend backend);
-
-// Pack four loosely reduced 5x51 elements into interleaved 10x25.5 lanes.
-// Accepts any limbs within the scalar layer's loose bound (< 2^51 + 2^13).
-Fe25519X4 FeX4FromLanes(const Fe25519 lanes[4]);
-
-// Unpack back to 5x51; outputs satisfy the scalar loose-reduction invariant
-// (every limb < 2^51 + 2^13). FeX4ToLanes(FeX4FromLanes(x)) == x bit for bit.
-void FeX4ToLanes(const Fe25519X4& v, Fe25519 lanes[4]);
-
-// out[k] = a[k] * b[k] mod p, all four lanes. Aliasing among out/a/b is fine.
-void FeMulX4(Fe25519X4& out, const Fe25519X4& a, const Fe25519X4& b);
-
-// out[k] = a[k]^2 mod p.
-void FeSquareX4(Fe25519X4& out, const Fe25519X4& a);
-
-// out[k] = a[k] + b[k] mod p.
-void FeAddX4(Fe25519X4& out, const Fe25519X4& a, const Fe25519X4& b);
-
-// out[k] = a[k] - b[k] mod p (adds 2p before subtracting, like FeSub).
-void FeSubX4(Fe25519X4& out, const Fe25519X4& a, const Fe25519X4& b);
-
-// Splats one scalar-layer element across all four lanes (constants).
-Fe25519X4 FeX4Splat(const Fe25519& f);
-
-// Four independent inverse square roots: out[k] is bit-identical (both the
-// was_square flag and the canonical value of the root) to FeInvSqrt(v[k]).
-// The ~254-squaring exponentiation chain runs lane-parallel; the
-// fourth-root-of-unity correction and sign canonicalization finish per lane
-// in the scalar layer, so the result is the scalar result by construction.
-//
-// Whether the chain actually runs 4-wide or as four scalar FeInvSqrt calls
-// is decided once per process by a micro-calibration (the 4-wide chain is
-// one serial X4 dependency chain; four scalar calls interleave on wide-mulx
-// cores and can win there). `VOTEGRAL_X4_ROOTS=on|off` overrides. Either
-// route returns the identical bits.
-void FeInvSqrtX4(const Fe25519 v[4], SqrtRatioResult out[4]);
-
-// Test hook pinning FeInvSqrtX4's route: 1 = force the 4-wide kernel chain,
-// 0 = force four scalar FeInvSqrt calls, -1 = auto (calibrate). Returns the
-// previous mode. Not thread-safe against concurrent FeInvSqrtX4 calls.
-int SetFeInvSqrtX4ModeForTest(int mode);
+// out may alias a or b: each sum is formed before it is stored.
+inline void RistrettoPoint::AddX4(const RistrettoPoint* a, const RistrettoPoint* b,
+                                  RistrettoPoint* out) {
+  for (int k = 0; k < 4; ++k) out[k] = a[k] + b[k];
+}
 
 }  // namespace votegral
 

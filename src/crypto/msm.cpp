@@ -81,29 +81,9 @@ std::array<RistrettoPoint, Count> OddMultiples(const RistrettoPoint& p) {
 // The per-point Straus table: odd multiples P, 3P, ..., 15P.
 using OddTable = std::array<RistrettoPoint, 8>;
 
-// Builds the odd-multiple tables of four points in lock-step: each table row
-// advances with one 4-way addition instead of four scalar ones.
-void OddMultiplesX4(const RistrettoPoint* p, OddTable* const out[4]) {
-  RistrettoPoint p2[4];
-  for (int k = 0; k < 4; ++k) {
-    (*out[k])[0] = p[k];
-    p2[k] = p[k].Double();
-  }
-  RistrettoPoint row[4];
-  for (size_t i = 1; i < 8; ++i) {
-    for (int k = 0; k < 4; ++k) {
-      row[k] = (*out[k])[i - 1];
-    }
-    RistrettoPoint::AddX4(row, p2, row);
-    for (int k = 0; k < 4; ++k) {
-      (*out[k])[i] = row[k];
-    }
-  }
-}
-
 // Fills `tables` with pointers to odd-multiple tables for every point whose
-// slot is still null, building four at a time into `storage` (which must
-// already be sized so the pointers stay stable).
+// slot is still null, building them into `storage` (sized here, before any
+// pointer into it is taken, so the pointers stay stable).
 void BuildMissingTables(std::span<const RistrettoPoint> points,
                         std::vector<const OddTable*>& tables,
                         std::vector<OddTable>& storage) {
@@ -114,20 +94,7 @@ void BuildMissingTables(std::span<const RistrettoPoint> points,
     }
   }
   storage.resize(missing.size());
-  size_t j = 0;
-  for (; j + 4 <= missing.size(); j += 4) {
-    RistrettoPoint p[4];
-    OddTable* outs[4];
-    for (int k = 0; k < 4; ++k) {
-      p[k] = points[missing[j + static_cast<size_t>(k)]];
-      outs[k] = &storage[j + static_cast<size_t>(k)];
-    }
-    OddMultiplesX4(p, outs);
-    for (int k = 0; k < 4; ++k) {
-      tables[missing[j + static_cast<size_t>(k)]] = outs[k];
-    }
-  }
-  for (; j < missing.size(); ++j) {
+  for (size_t j = 0; j < missing.size(); ++j) {
     storage[j] = OddMultiples<8>(points[missing[j]]);
     tables[missing[j]] = &storage[j];
   }
@@ -233,53 +200,15 @@ bool PippengerWindowPass(std::span<const RistrettoPoint> points,
   const size_t n = points.size();
   std::vector<RistrettoPoint> buckets(nbuckets);
   bool any = false;
-  // Bucket additions batch four at a time through AddX4 as long as the four
-  // pending terms target distinct buckets; a conflict (or the tail) flushes
-  // the partial batch with scalar additions. Additions into one bucket keep
-  // their term order (a conflicting term always flushes first), and the
-  // batching decision depends only on the digits, so the pass stays
-  // deterministic at any thread count.
-  size_t pending_bucket[4];
-  RistrettoPoint pending_add[4];
-  size_t npending = 0;
-  auto flush = [&]() {
-    if (npending == 4) {
-      RistrettoPoint current[4];
-      for (int k = 0; k < 4; ++k) {
-        current[k] = buckets[pending_bucket[k]];
-      }
-      RistrettoPoint::AddX4(current, pending_add, current);
-      for (int k = 0; k < 4; ++k) {
-        buckets[pending_bucket[k]] = current[k];
-      }
-    } else {
-      for (size_t k = 0; k < npending; ++k) {
-        buckets[pending_bucket[k]] = buckets[pending_bucket[k]] + pending_add[k];
-      }
-    }
-    npending = 0;
-  };
   for (size_t i = 0; i < n; ++i) {
     int16_t digit = digits[i * nwindows + win];
     if (digit == 0) {
       continue;
     }
-    const size_t b = static_cast<size_t>(digit > 0 ? digit : -digit) - 1;
-    for (size_t k = 0; k < npending; ++k) {
-      if (pending_bucket[k] == b) {
-        flush();
-        break;
-      }
-    }
-    pending_bucket[npending] = b;
-    pending_add[npending] = digit > 0 ? points[i] : -points[i];
-    ++npending;
+    RistrettoPoint& bucket = buckets[static_cast<size_t>(digit > 0 ? digit : -digit) - 1];
+    bucket = bucket + (digit > 0 ? points[i] : -points[i]);
     any = true;
-    if (npending == 4) {
-      flush();
-    }
   }
-  flush();
   *window_total = RistrettoPoint::Identity();
   if (any) {
     RistrettoPoint running;  // bucket suffix sum

@@ -267,6 +267,11 @@ void AppendEntryFrame(Bytes* out, const LedgerEntryView& view);
 // Decodes one frame starting at `*offset`; advances `*offset` past it.
 Outcome<LedgerEntry> DecodeEntryFrame(std::span<const uint8_t> bytes, size_t* offset);
 
+// Smallest possible entry frame: u32 frame_len | u64 index | u32 topic_len |
+// u32 payload_len | 32B prev_hash | 32B entry_hash (empty topic and payload).
+// Decoders cap untrusted entry counts with it before reserving.
+inline constexpr size_t kMinEntryFrameBytes = 4 + 8 + 4 + 4 + 32 + 32;
+
 }  // namespace votegral
 
 #endif  // SRC_LEDGER_STORE_H_

@@ -203,6 +203,13 @@ Outcome<FramesMsg> DecodeFrames(const WireMessage& msg) {
     return Out::Fail(StatusCode::kCorrupted,
                      std::string("replica: malformed frames header: ") + e.what());
   }
+  // The count is untrusted: cap it by what the remaining bytes could hold
+  // before reserving, so a hostile header cannot demand a huge allocation.
+  if (count > (msg.payload.size() - offset) / kMinEntryFrameBytes) {
+    return Out::Fail(StatusCode::kCorrupted,
+                     "replica: frames message claims " + std::to_string(count) +
+                         " entries, more than its payload can hold");
+  }
   FramesMsg out;
   out.request_id = request_id;
   out.first_index = first_index;

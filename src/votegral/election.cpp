@@ -84,7 +84,7 @@ TallyOutput Election::Tally(Rng& rng) const {
 
 Outcome<TallyOutput> Election::TryTally(Rng& rng) const {
   TallyService service(trip_.authority(), tagging_, config_.mix_pairs, executor(),
-                       config_.retry_policy, config_.tally_engine, config_.revoting,
+                       config_.retry_policy, TallyEngine::kDataflow, config_.revoting,
                        config_.revote_padding);
   return service.Run(trip_.ledger(), candidates_, trip_.authorized_kiosks(), rng);
 }

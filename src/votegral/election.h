@@ -44,11 +44,6 @@ struct ElectionConfig {
   // against segment I/O.
   LedgerStorageConfig storage;
 
-  // Tally scheduler: the chunk-granular dataflow graph (default) or the
-  // stage-wide barrier pipeline. Transcripts are byte-identical — this only
-  // trades stage overlap (see src/votegral/tally.h).
-  TallyEngine tally_engine = TallyEngine::kDataflow;
-
   // Deniable revoting (docs/REVOTING.md): casts post RevoteBallots and the
   // dedup stage becomes the verifiable supersession pipeline. revote_padding
   // adds the cover-envelope dummy groups that make the revealed group-size

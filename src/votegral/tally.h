@@ -30,7 +30,6 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -126,55 +125,14 @@ struct TallyOutput {
   std::vector<AuthorityBlame> excluded_authorities;
 };
 
-// Mutable state threaded through the stage pipeline: the output under
-// construction plus inter-stage working buffers (sharded chunks a stage
-// produces for the next one and that are released once consumed).
-struct TallyPipelineState {
-  TallyOutput output;
-
-  // validate -> dedup: per-ledger-index validation results (nullopt =
-  // discarded). Exactly one of the two vectors is populated, by mode.
-  std::vector<std::optional<Ballot>> validated_ballots;
-  std::vector<std::optional<RevoteBallot>> validated_revotes;
-  // revote dedup -> mix: the kept [Enc(vote), Enc(c_pk)] columns, already
-  // re-randomized by the revote mix; they become the ballot mix input.
-  MixBatch revote_kept;
-  // mix -> tag: the credential ciphertext columns of the mixed batches.
-  std::vector<ElGamalCiphertext> ballot_credentials;
-  std::vector<ElGamalCiphertext> roster_credentials;
-  // tag -> decrypt-tags: the fully tagged ciphertext lists. Their canonical
-  // wire bytes are NOT duplicated here: the decrypt stage reads the last
-  // tagging step's output_wire straight out of the transcript, which stays
-  // alive for the whole pipeline.
-  std::vector<ElGamalCiphertext> ballot_tagged;
-  std::vector<ElGamalCiphertext> roster_tagged;
-  // decrypt-tags -> join: roster tag multiset.
-  std::map<CompressedRistretto, uint64_t> roster_tag_counts;
-  // Accumulated self-check batch for the release gate.
-  std::vector<DleqBatchEntry> share_self_check;
-  // Degradation bookkeeping: member -> first coded failure (ciphertext
-  // order), folded into TallyOutput::excluded_authorities at the end.
-  std::map<size_t, Status> authority_blame;
-};
-
-// Which scheduler runs the pipeline. Both engines execute the same
-// per-shard kernels over the same shard boundaries and forked seeds, so
-// their transcripts are byte-identical; they differ only in when a shard
-// may start.
-enum class TallyEngine {
-  // Chunk-granular dataflow on a TaskGraph: stage i+1 starts on shard k the
-  // moment stage i finishes it (default — strictly more overlap).
-  kDataflow,
-  // The stage-wide barrier pipeline (Pipeline()): every stage fully
-  // completes before the next begins. Kept as the reference scheduler for
-  // the byte-compat tests and per-stage latency benchmarks.
-  kBarrier,
-};
+// The tally's scheduler. There is one: the chunk-granular dataflow engine
+// (src/votegral/tally_dataflow.cpp). The type and TallyService's parameter
+// remain so existing call sites (lifebench/) keep compiling.
+enum class TallyEngine { kDataflow };
 
 // Per-run scheduler observability, filled by Run() on request. Busy times
-// are summed node/stage execution seconds: for the dataflow engine,
-// busy/(wall*threads) per stage is the occupancy number the streaming bench
-// reports; for the barrier engine each stage's busy time is its wall time.
+// are summed task-graph node execution seconds per stage; busy/(wall*threads)
+// per stage is the occupancy number the streaming bench reports.
 struct TallyStageBusy {
   std::string name;
   double busy_seconds = 0.0;
@@ -201,7 +159,8 @@ class TallyService {
                TallyEngine engine = TallyEngine::kDataflow,
                bool revoting = false, bool revote_padding = true);
 
-  // Runs the staged pipeline over the ledger's ballots and active roster.
+  // Runs the pipeline over the ledger's ballots and active roster on the
+  // dataflow engine.
   // Fails (coded, localized — never a wrong result) when fewer than
   // threshold() authorities deliver valid shares for some ciphertext, or
   // when a mix/tag stage faults; succeeds with any honest-and-live t-subset,
@@ -211,22 +170,11 @@ class TallyService {
                            const std::set<CompressedRistretto>& authorized_kiosks,
                            Rng& rng, TallyRunMetrics* metrics = nullptr) const;
 
-  // One named step of the pipeline; stages run in order, each fanning its
-  // per-chunk work out on the executor, and the first stage failure aborts
-  // the run. Exposed for tests and for the stage-latency benchmarks.
-  struct Stage {
-    const char* name;
-    Status (*run)(const TallyService&, const PublicLedger&, const CandidateList&,
-                  const std::set<CompressedRistretto>&, Rng&, TallyPipelineState&);
-  };
-  static std::span<const Stage> Pipeline();
-
   const ElectionAuthority& authority() const { return authority_; }
   const TaggingService& tagging() const { return tagging_; }
   size_t mix_pairs() const { return mix_pairs_; }
   Executor& executor() const { return executor_; }
   const RetryPolicy& retry_policy() const { return retry_policy_; }
-  TallyEngine engine() const { return engine_; }
   bool revoting() const { return revoting_; }
   bool revote_padding() const { return revote_padding_; }
 
@@ -236,7 +184,6 @@ class TallyService {
   size_t mix_pairs_;
   Executor& executor_;
   RetryPolicy retry_policy_;
-  TallyEngine engine_;
   bool revoting_;
   bool revote_padding_;
 };

@@ -1,5 +1,6 @@
-// The dataflow tally engine: TallyService::Pipeline()'s stages scheduled as
-// a chunk-granular task graph instead of stage-wide barriers.
+// The tally engine: the validate -> dedup -> mix -> tag -> decrypt-tags ->
+// join -> decrypt-votes -> release-gate pipeline scheduled as a
+// chunk-granular task graph.
 //
 // Scheduling shape (one flow per mixed list, ballots and roster, running
 // concurrently):
@@ -17,21 +18,21 @@
 //
 // Determinism (the reproducibility contract, made normative here): every
 // randomness-consuming node gets its forked DRBG seed assigned at
-// graph-BUILD time, drawn from the parent stream in exactly the order the
-// barrier engine draws them (cascade layers, then tagging members, then
-// decrypt batches — ballots before roster for mixing/tagging, roster before
-// ballots for decryption, matching Pipeline()); shard boundaries come from
+// graph-BUILD time, drawn from the parent stream in one canonical stage
+// order (cascade layers, then tagging members, then decrypt batches —
+// ballots before roster for mixing/tagging, roster before ballots for
+// decryption, then votes, then the release gate); shard boundaries come from
 // Executor::Shards (data-size only); nodes commit results positionally.
 // Scheduling therefore decides only *when* a node runs, never what it
-// computes — transcripts are byte-identical to the barrier engine at every
-// thread count, which tests/test_parallel_tally.cpp pins against the golden
-// digest.
+// computes — transcripts are byte-identical at every thread count, which
+// tests/test_parallel_tally.cpp and tests/test_revote.cpp pin against golden
+// digests.
 //
-// Failure parity: the four stage-level fault probes are pure PRF decisions,
-// evaluated at build time in the barrier engine's probe order (stopping at
-// the first failure, so injection counts match); decrypt shortfalls are
-// detected in the barrier's sequential finalize order (roster tags, ballot
-// tags, votes). A failed run reports the same coded status either way.
+// Failure order: the four stage-level fault probes are pure PRF decisions,
+// evaluated at build time in stage order (stopping at the first failure, so
+// injection counts are deterministic); decrypt shortfalls are detected in
+// the sequential finalize order (roster tags, ballot tags, votes). A failed
+// run reports the same coded status at any thread count.
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -117,8 +118,8 @@ struct ChainFlow {
   DecryptBatchBuffers buffers;
 };
 
-// Draws one chain's cascade randomness in the barrier engine's exact order:
-// per pair, layer A's permutation then its shard seeds, then layer B's.
+// Draws one chain's cascade randomness in canonical order: per pair, layer
+// A's permutation then its shard seeds, then layer B's.
 void DrawCascadeRandomness(ChainFlow& flow, size_t pairs, Rng& rng) {
   flow.layers.resize(2 * pairs);
   flow.layer_seeds.resize(2 * pairs);
@@ -357,9 +358,9 @@ Outcome<TallyOutput> RunDataflowTally(const TallyService& service, const PublicL
   clock.Timed(kSDedup,
               [&] { TallyValidationOutcomes(validate_outcome, &state.output.result.discards); });
   if (service.revoting()) {
-    // The whole supersession pipeline runs at the dedup position, barrier
-    // style (it is internally sharded on the same executor); its rng draws
-    // land exactly where the barrier engine makes them.
+    // The whole supersession pipeline runs at the dedup position as one
+    // call (internally sharded on the same executor), drawing from the
+    // parent stream before any mix randomness.
     Status dedup_status = Status::Ok();
     clock.Timed(kSDedup, [&] { dedup_status = RunRevoteDedup(service, rng, state); });
     if (!dedup_status.ok()) {
@@ -377,10 +378,10 @@ Outcome<TallyOutput> RunDataflowTally(const TallyService& service, const PublicL
   }
 
   // The roster is rng-free ledger state: fetching it before the mix draws
-  // is transcript-neutral (the barrier engine fetches it mid-mix-stage).
+  // is transcript-neutral.
   const std::vector<RegistrationRecord> roster = ledger.ActiveRegistrations();
 
-  // ---- Build-time randomness + fault probes, in barrier order. ----
+  // ---- Build-time randomness + fault probes, in stage order. ----
   Require(service.mix_pairs() >= 1, "mixnet: need at least one pair");
 
   ChainFlow ballots;
@@ -401,9 +402,8 @@ Outcome<TallyOutput> RunDataflowTally(const TallyService& service, const PublicL
   roster_flow.steps = &t.roster_tag_steps;
   roster_flow.epoch = kEpochRosterTags;
 
-  // Probe order matches the barrier stages exactly (the probes are the only
-  // fault points between the draws, and the PRF decisions are identical
-  // wherever they are evaluated).
+  // The probes are the only fault points between the draws, and their PRF
+  // decisions do not depend on where they are evaluated.
   if (Status fault = ProbeStageFault(faults::kMixShuffle, 0, "ballot mix"); !fault.ok()) {
     return finish(Outcome<TallyOutput>::Fail(WrapStage("mix", fault)));
   }
@@ -420,7 +420,7 @@ Outcome<TallyOutput> RunDataflowTally(const TallyService& service, const PublicL
     return finish(Outcome<TallyOutput>::Fail(WrapStage("tag", fault)));
   }
   DrawTagRandomness(roster_flow, service.tagging(), rng);
-  // Decrypt-tags seeds: roster batch first, then ballots (Pipeline() order).
+  // Decrypt-tags seeds: roster batch first, then ballots.
   roster_flow.decrypt_seeds = ForkRngSeeds(rng, roster_flow.shards.size());
   ballots.decrypt_seeds = ForkRngSeeds(rng, ballots.shards.size());
 
@@ -448,8 +448,8 @@ Outcome<TallyOutput> RunDataflowTally(const TallyService& service, const PublicL
   });
   graph.Wait();
 
-  // Publish the final mixed batches (the barrier engine's cascade-return
-  // copies), then close the decrypt batches in its sequential order.
+  // Publish the final mixed batches, then close the decrypt batches in
+  // sequential order.
   clock.Timed(kSMix, [&] {
     t.ballot_mix_output = ballots.proof->pairs.back().out;
     t.roster_mix_output = roster_flow.proof->pairs.back().out;
@@ -519,8 +519,7 @@ Outcome<TallyOutput> RunDataflowTally(const TallyService& service, const PublicL
   }
   clock.Timed(kSDecryptVotes, [&] { CountVotes(candidates, state); });
 
-  // ---- Release gate (consumes the parent stream last, as the barrier
-  // engine does). ----
+  // ---- Release gate (consumes the parent stream last). ----
   clock.Timed(kSReleaseGate, [&] { ReleaseGate(state, rng); });
 
   for (const auto& [member, blame_status] : state.authority_blame) {

@@ -1,13 +1,13 @@
-// Internal machinery shared by the two tally engines (src/votegral/tally.cpp
-// and src/votegral/tally_dataflow.cpp). Not part of the public surface.
+// Internal machinery of the tally (src/votegral/tally.cpp,
+// src/votegral/tally_dataflow.cpp, src/votegral/revote.cpp). Not part of the
+// public surface.
 //
-// Both engines are thin schedulers over the same per-shard kernels declared
-// here: the barrier engine runs them under stage-wide ParallelFor fences, the
-// dataflow engine runs the identical kernels as TaskGraph nodes. Each kernel
-// writes positionally into pre-sized buffers and draws randomness only from
-// the forked child stream handed to it, which is what makes the two engines
-// byte-identical: the bytes depend on (shard boundaries, seed assignment),
-// never on when or where a kernel ran.
+// The dataflow engine schedules the per-shard kernels declared here as
+// TaskGraph nodes; the revote dedup runs some of them under ParallelFor.
+// Each kernel writes positionally into pre-sized buffers and draws
+// randomness only from the forked child stream handed to it, so the bytes
+// depend on (shard boundaries, seed assignment), never on when or where a
+// kernel ran — the transcript is byte-identical at any thread count.
 #ifndef SRC_VOTEGRAL_TALLY_INTERNAL_H_
 #define SRC_VOTEGRAL_TALLY_INTERNAL_H_
 
@@ -25,6 +25,28 @@
 
 namespace votegral {
 namespace tally_internal {
+
+// Mutable state threaded through the pipeline: the output under
+// construction plus inter-stage working buffers (sharded chunks a stage
+// produces for the next one and that are released once consumed).
+struct TallyPipelineState {
+  TallyOutput output;
+
+  // validate -> dedup: per-ledger-index validation results (nullopt =
+  // discarded). Exactly one of the two vectors is populated, by mode.
+  std::vector<std::optional<Ballot>> validated_ballots;
+  std::vector<std::optional<RevoteBallot>> validated_revotes;
+  // revote dedup -> mix: the kept [Enc(vote), Enc(c_pk)] columns, already
+  // re-randomized by the revote mix; they become the ballot mix input.
+  MixBatch revote_kept;
+  // decrypt-tags -> join: roster tag multiset.
+  std::map<CompressedRistretto, uint64_t> roster_tag_counts;
+  // Accumulated self-check batch for the release gate.
+  std::vector<DleqBatchEntry> share_self_check;
+  // Degradation bookkeeping: member -> first coded failure (ciphertext
+  // order), folded into TallyOutput::excluded_authorities at the end.
+  std::map<size_t, Status> authority_blame;
+};
 
 // Releases a consumed inter-stage buffer immediately (the streaming
 // property: a stage's input shards do not outlive the stage).
@@ -124,11 +146,10 @@ Status FinalizeDecryptBatch(const char* what, DecryptBatchBuffers& buffers,
                             std::vector<DleqBatchEntry>* self_check_accum,
                             std::map<size_t, Status>* blame);
 
-// One full barrier-style decrypt batch: forks per-shard seeds, collects
-// every member's verifiable share for all of `cts` (fault keys under
-// `epoch`), and finalizes (blame merge, self-check compaction, shortfall
-// detection). The barrier engine's tag/vote stages and the revote dedup
-// share this path.
+// One whole decrypt batch under ParallelForEach (the revote dedup's path):
+// forks per-shard seeds, collects every member's verifiable share for all of
+// `cts` (fault keys under `epoch`), and finalizes (blame merge, self-check
+// compaction, shortfall detection).
 Status DecryptBatchWithShares(const TallyService& service, const char* what,
                               std::span<const ElGamalCiphertext> cts, Rng& rng,
                               uint64_t epoch,
@@ -139,12 +160,12 @@ Status DecryptBatchWithShares(const TallyService& service, const char* what,
                               std::span<const ElGamalWire> cts_wire = {});
 
 // The whole revote supersession dedup (docs/REVOTING.md), run at the dedup
-// stage position by BOTH engines: pad -> width-3 mix -> tag credentials ->
+// stage position: pad -> width-3 mix -> tag credentials ->
 // decrypt (tags, counters) -> tag-sort last-write-wins. Consumes
 // state.validated_revotes; fills state.output.transcript.revote, the discard
 // counters, and state.revote_kept (the ballot-mix input columns of the kept
 // items). Internally sharded on the service executor with forked seeds —
-// byte-identical at any thread count and across engines.
+// byte-identical at any thread count.
 Status RunRevoteDedup(const TallyService& service, Rng& rng, TallyPipelineState& state);
 
 // Join stage: hash-joins ballot tags against the roster tag multiset
@@ -159,10 +180,9 @@ void CountVotes(const CandidateList& candidates, TallyPipelineState& state);
 // proof. A failure is an internal fault (Require), not a verification result.
 void ReleaseGate(TallyPipelineState& state, Rng& rng);
 
-// The dataflow engine (tally_dataflow.cpp): the same pipeline as
-// TallyService::Pipeline() scheduled as a chunk-granular task graph.
-// Returns fully wrapped errors ("<stage> stage: <reason>"), byte-identical
-// to the barrier engine's, and fills `metrics` when non-null.
+// The dataflow engine (tally_dataflow.cpp): the whole pipeline scheduled as
+// a chunk-granular task graph. Returns fully wrapped errors
+// ("<stage> stage: <reason>") and fills `metrics` when non-null.
 Outcome<TallyOutput> RunDataflowTally(const TallyService& service, const PublicLedger& ledger,
                                       const CandidateList& candidates,
                                       const std::set<CompressedRistretto>& authorized_kiosks,

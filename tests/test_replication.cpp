@@ -444,6 +444,18 @@ TEST(Replication, WireMessageRoundTrips) {
   EXPECT_EQ(DecodeFrames(cut).status.code(), StatusCode::kCorrupted);
 }
 
+TEST(Replication, HostileFrameCountIsRejectedBeforeAllocating) {
+  // A bare 20-byte frames header claiming 2^32 - 1 entries: the decoder must
+  // reject the count against the payload size instead of reserving for it.
+  WireMessage msg;
+  msg.type = static_cast<uint16_t>(ReplicaMsgType::kFrames);
+  msg.payload.assign(20, 0);
+  StoreLe32(msg.payload.data() + 16, 0xFFFFFFFFu);
+  auto decoded = DecodeFrames(msg);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status.code(), StatusCode::kCorrupted);
+}
+
 TEST(Replication, NewFaultPointsAreRegistered) {
   auto points = RegisteredFaultPoints();
   auto has = [&](std::string_view name) {

@@ -5,7 +5,7 @@
 //    quadratic last-write-wins reference byte for byte across seeds and
 //    sizes (the 10^5-item differential runs in bench/fig_revote).
 //  * Determinism: revote transcripts are byte-identical across thread
-//    counts and across both tally engines, pinned by a golden digest.
+//    counts, pinned by golden digests.
 //  * Adversarial tallies: a transcript that drops a non-superseded ballot,
 //    keeps a superseded one, or miscounts its dummies is rejected by
 //    VerifyElection with the failure localized (exact ledger index /
@@ -188,13 +188,12 @@ TEST(RevoteSelection, TiedMaxCounterDropsTheWholeGroup) {
 
 // --- End-to-end revote elections ---------------------------------------------
 
-ElectionConfig RevoteConfig(size_t threads, TallyEngine engine) {
+ElectionConfig RevoteConfig(size_t threads) {
   ElectionConfig config;
   config.roster = {"alice", "bob", "carol", "dave"};
   config.candidates = {"Alpha", "Beta", "Gamma"};
   config.revoting = true;
   config.threads = threads;
-  config.tally_engine = engine;
   return config;
 }
 
@@ -208,9 +207,9 @@ struct RevoteTallied {
 
 // Fixed revote election: alice revotes once, carol twice, dave casts a decoy
 // with a fake credential; the ledger is identical across calls.
-RevoteTallied RunRevoteElection(size_t threads, TallyEngine engine) {
+RevoteTallied RunRevoteElection(size_t threads) {
   ChaChaRng rng(0x2EF07E);
-  Election election(RevoteConfig(threads, engine), rng);
+  Election election(RevoteConfig(threads), rng);
   Vsd vsd = election.trip().MakeVsd();
   auto alice = election.Register("alice", 1, vsd, rng);
   auto bob = election.Register("bob", 1, vsd, rng);
@@ -236,8 +235,7 @@ RevoteTallied RunRevoteElection(size_t threads, TallyEngine engine) {
   return out;
 }
 
-// Golden protocol digest of the fixed revote election above (serial barrier
-// run). Any change to a revote transcript byte shows up here. It was
+// Golden protocol digest of the fixed revote election above. Any change to a revote transcript byte shows up here. It was
 // 7963fb1c…8dbe from the introduction of revoting until tagging steps moved
 // to composite per-shard proofs.
 constexpr const char* kRevoteGoldenDigestHex =
@@ -248,8 +246,14 @@ constexpr const char* kRevoteGoldenDigestHex =
 constexpr const char* kRevoteExceptTagProofsDigestHex =
     "913fe2ae894854f48662c33af63350acfbc9f29ec1cadbcc5631a53b966de8cc";
 
+// DigestTranscriptWithWire of the same election (protocol bytes plus wire
+// caches), captured while the stage-wide barrier scheduler still produced it
+// byte for byte; it stands in for that engine as the reference.
+constexpr const char* kRevoteWireDigestHex =
+    "9ad00d008c97d31fd9fda7793013515f23810ef0066177ebb4a868c86ea1b815";
+
 TEST(RevoteElection, LastVotePerCredentialCounts) {
-  RevoteTallied tallied = RunRevoteElection(0, TallyEngine::kDataflow);
+  RevoteTallied tallied = RunRevoteElection(0);
   EXPECT_TRUE(tallied.verified);
   EXPECT_EQ(tallied.result.counted, 4u);
   EXPECT_EQ(tallied.result.counts.at("Alpha"), 2u);  // bob, carol's final
@@ -265,19 +269,15 @@ TEST(RevoteElection, LastVotePerCredentialCounts) {
   EXPECT_EQ(tallied.result.discards.invalid_structure, 0u);
 }
 
-TEST(RevoteElection, TranscriptByteIdenticalAcrossThreadsAndEngines) {
-  RevoteTallied barrier = RunRevoteElection(1, TallyEngine::kBarrier);
-  EXPECT_TRUE(barrier.verified);
-  EXPECT_EQ(HexEncode(barrier.protocol_digest), kRevoteGoldenDigestHex);
-  EXPECT_EQ(HexEncode(barrier.except_tag_proofs), kRevoteExceptTagProofsDigestHex);
+TEST(RevoteElection, TranscriptPinnedAtEveryThreadCount) {
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    for (TallyEngine engine : {TallyEngine::kBarrier, TallyEngine::kDataflow}) {
-      RevoteTallied other = RunRevoteElection(threads, engine);
-      EXPECT_EQ(other.digest, barrier.digest)
-          << "threads=" << threads << " engine=" << static_cast<int>(engine);
-      EXPECT_TRUE(other.verified) << "threads=" << threads;
-      EXPECT_EQ(other.result.counts, barrier.result.counts) << "threads=" << threads;
-    }
+    RevoteTallied run = RunRevoteElection(threads);
+    EXPECT_EQ(HexEncode(run.digest), kRevoteWireDigestHex) << "threads=" << threads;
+    EXPECT_EQ(HexEncode(run.protocol_digest), kRevoteGoldenDigestHex)
+        << "threads=" << threads;
+    EXPECT_EQ(HexEncode(run.except_tag_proofs), kRevoteExceptTagProofsDigestHex)
+        << "threads=" << threads;
+    EXPECT_TRUE(run.verified) << "threads=" << threads;
   }
 }
 
@@ -286,7 +286,7 @@ TEST(RevoteElection, CoercerCounterIsOutlastedByASecretRevote) {
   // coercer casts with a counter of their choosing; the evader secretly
   // casts once more with a higher counter and their vote supersedes.
   ChaChaRng rng(0xC0E12CE);
-  Election election(RevoteConfig(0, TallyEngine::kDataflow), rng);
+  Election election(RevoteConfig(0), rng);
   Vsd vsd = election.trip().MakeVsd();
   auto evader = election.Register("alice", 1, vsd, rng);
   auto honest = election.Register("bob", 1, vsd, rng);
@@ -305,7 +305,7 @@ TEST(RevoteElection, CoercerCounterIsOutlastedByASecretRevote) {
 
 TEST(RevoteElection, CastRevoteRequiresRevotingMode) {
   ChaChaRng rng(0xC0E12CF);
-  ElectionConfig config = RevoteConfig(0, TallyEngine::kDataflow);
+  ElectionConfig config = RevoteConfig(0);
   config.revoting = false;
   Election election(config, rng);
   Vsd vsd = election.trip().MakeVsd();
@@ -321,7 +321,7 @@ TEST(RevoteElection, CastRevoteRequiresRevotingMode) {
 // A small tallied revote election the tampering tests mutate.
 struct AdversarialFixture {
   AdversarialFixture()
-      : rng(0xBADF00D), election(RevoteConfig(8, TallyEngine::kDataflow), rng),
+      : rng(0xBADF00D), election(RevoteConfig(8), rng),
         vsd(election.trip().MakeVsd()) {
     auto alice = election.Register("alice", 1, vsd, rng);
     auto bob = election.Register("bob", 1, vsd, rng);
@@ -420,7 +420,7 @@ TEST(RevoteAdversarial, UnpaddedBoardFailsTheEnvelopeCheck) {
   // verifier enforcing the envelope — run the tally with padding off, audit
   // with the published (padding-on) parameters.
   ChaChaRng rng(0xBADF00E);
-  ElectionConfig config = RevoteConfig(0, TallyEngine::kDataflow);
+  ElectionConfig config = RevoteConfig(0);
   config.revote_padding = false;
   Election election(config, rng);
   Vsd vsd = election.trip().MakeVsd();

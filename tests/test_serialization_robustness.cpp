@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "src/crypto/drbg.h"
+#include "src/net/transport.h"
+#include "src/replica/messages.h"
 #include "src/trip/registrar.h"
 #include "src/votegral/ballot.h"
 #include "src/votegral/election.h"
@@ -152,6 +154,25 @@ TEST_F(SerializationFuzz, RandomGarbageNeverCrashesParsers) {
     (void)SchnorrSignature::Parse(garbage);
     (void)ElGamalCiphertext::Parse(garbage);
     (void)DleqTranscript::Parse(garbage);
+    // Board parsers: transport frames, ledger entry frames, replication
+    // messages and revote ballots all arrive from the network or the disk.
+    size_t offset = 0;
+    (void)DecodeFrame(garbage);
+    (void)DecodeEntryFrame(garbage, &offset);
+    (void)ConsistencyProof::Parse(garbage);
+    (void)SignedCheckpoint::Parse(garbage);
+    (void)RevoteBallot::Parse(garbage);
+    (void)RevoteBindingProof::Parse(garbage);
+    for (ReplicaMsgType type :
+         {ReplicaMsgType::kGetCheckpoint, ReplicaMsgType::kCheckpoint,
+          ReplicaMsgType::kGetFrames, ReplicaMsgType::kFrames, ReplicaMsgType::kError}) {
+      const WireMessage msg{static_cast<uint16_t>(type), garbage};
+      (void)DecodeGetCheckpoint(msg);
+      (void)DecodeCheckpoint(msg);
+      (void)DecodeGetFrames(msg);
+      (void)DecodeFrames(msg);
+      (void)DecodeError(msg);
+    }
   }
   SUCCEED();
 }
