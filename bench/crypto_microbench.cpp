@@ -107,6 +107,32 @@ void BM_ElGamalEncrypt(benchmark::State& state) {
 }
 BENCHMARK(BM_ElGamalEncrypt);
 
+// One mix re-encryption: MulBase for C1 and the key's PrecomputedBase for
+// C2, the table the tally builds once per authority.
+void BM_ElGamalReRandomize(benchmark::State& state) {
+  ChaChaRng rng(12);
+  const RistrettoPoint pk = RistrettoPoint::MulBase(Scalar::Random(rng));
+  const PrecomputedBase pk_table(pk);
+  const ElGamalCiphertext ct =
+      ElGamalEncrypt(pk, RistrettoPoint::FromUniformBytes(rng.RandomBytes(64)), rng);
+  const Scalar r = Scalar::Random(rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ct.ReRandomize(pk_table, r));
+  }
+}
+BENCHMARK(BM_ElGamalReRandomize);
+
+// Building one 64x8 affine-Niels table (an authority's setup cost).
+void BM_PrecomputedBaseBuild(benchmark::State& state) {
+  ChaChaRng rng(13);
+  const RistrettoPoint p = RistrettoPoint::FromUniformBytes(rng.RandomBytes(64));
+  for (auto _ : state) {
+    PrecomputedBase table(p);
+    benchmark::DoNotOptimize(table);
+  }
+}
+BENCHMARK(BM_PrecomputedBaseBuild)->Unit(benchmark::kMicrosecond);
+
 void BM_DleqProveFs(benchmark::State& state) {
   ChaChaRng rng(10);
   Scalar x = Scalar::Random(rng);

@@ -125,7 +125,8 @@ void SwissPostModel::TallyAll(Rng& rng) {
     batch.push_back(std::move(item));
   }
   MixProof proof;
-  MixBatch mixed = RunRpcMixCascade(batch, pk, /*pair_count=*/2, rng, &proof);
+  MixBatch mixed =
+      RunRpcMixCascade(batch, authority_->public_key_table(), /*pair_count=*/2, rng, &proof);
   Require(VerifyRpcMixCascade(batch, mixed, proof, pk).ok(), "swisspost: mix proof invalid");
 
   // Verifiable decryption of every contest of every ballot.

@@ -95,7 +95,7 @@ void VoteAgainModel::TallyAll(Rng& rng) {
     batch.push_back(std::move(item));
   }
   MixProof proof;
-  MixBatch mixed = RunRpcMixCascade(batch, pk, 2, rng, &proof);
+  MixBatch mixed = RunRpcMixCascade(batch, authority_->public_key_table(), 2, rng, &proof);
   Require(VerifyRpcMixCascade(batch, mixed, proof, pk).ok(), "voteagain: mix proof invalid");
 
   counted_ = 0;

@@ -26,6 +26,7 @@ ElectionAuthority ElectionAuthority::Create(size_t n, Rng& rng) {
     authority.public_key_ = authority.public_key_ + m.public_share;
     authority.members_.push_back(std::move(m));
   }
+  authority.public_key_table_ = std::make_shared<const PrecomputedBase>(authority.public_key_);
   return authority;
 }
 
@@ -58,6 +59,7 @@ ElectionAuthority ElectionAuthority::CreateThreshold(size_t threshold, size_t n,
   }
   authority.feldman_ = std::move(summed);
   authority.public_key_ = authority.feldman_[0];  // C_0 = F(0) * B
+  authority.public_key_table_ = std::make_shared<const PrecomputedBase>(authority.public_key_);
   authority.members_.reserve(n);
   for (size_t j = 0; j < n; ++j) {
     AuthorityMember m;
@@ -69,6 +71,12 @@ ElectionAuthority ElectionAuthority::CreateThreshold(size_t threshold, size_t n,
     authority.members_.push_back(std::move(m));
   }
   return authority;
+}
+
+const PrecomputedBase& ElectionAuthority::public_key_table() const {
+  Require(public_key_table_ != nullptr,
+          "ElectionAuthority: no key table (authority not made by Create/CreateThreshold)");
+  return *public_key_table_;
 }
 
 Status ElectionAuthority::VerifySetup() const {

@@ -24,6 +24,7 @@
 #define SRC_CRYPTO_DKG_H_
 
 #include <cstddef>
+#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -74,6 +75,11 @@ class ElectionAuthority {
 
   // The collective public key A_pk = sum of public shares.
   const RistrettoPoint& public_key() const { return public_key_; }
+
+  // A_pk's fixed-base table (60 KiB, built once by Create/CreateThreshold
+  // and shared by copies): every mix re-encryption multiplies A_pk.
+  const PrecomputedBase& public_key_table() const;
+
   size_t size() const { return members_.size(); }
   const AuthorityMember& member(size_t i) const { return members_.at(i); }
 
@@ -120,6 +126,7 @@ class ElectionAuthority {
  private:
   std::vector<AuthorityMember> members_;
   RistrettoPoint public_key_;
+  std::shared_ptr<const PrecomputedBase> public_key_table_;
   size_t threshold_ = 0;
   bool shamir_mode_ = false;
   FeldmanCommitments feldman_;  // summed dealer commitments (threshold mode)

@@ -51,6 +51,29 @@ Status ValidateSection(std::span<const RistrettoPoint> points,
   return Status::Ok();
 }
 
+// True when base i is the group generator, read from the (producer-local)
+// base cache when present and by group equality otherwise. Generator bases
+// take the fixed-base paths: MulBase for commits, the width-8 basepoint
+// table for r*G_i + e*P_i.
+bool IsGeneratorBase(const DleqStatement& statement, size_t i) {
+  if (statement.base_wire.size() == statement.bases.size()) {
+    return statement.base_wire[i] == RistrettoPoint::BaseWire();
+  }
+  return statement.bases[i] == RistrettoPoint::Base();
+}
+
+// r*G_i + e*P_i: the commit a transcript with response r and challenge e
+// must carry for pair i. A simulator sets the commit to it; a verifier
+// compares against it. One shared-doubling ladder either way.
+RistrettoPoint ResponseCommit(const DleqStatement& statement, size_t i, const Scalar& response,
+                              const Scalar& challenge) {
+  if (IsGeneratorBase(statement, i)) {
+    return RistrettoPoint::DoubleScalarMulBase(challenge, statement.publics[i], response);
+  }
+  return MultiScalarMul(std::array{response, challenge},
+                        std::array{statement.bases[i], statement.publics[i]});
+}
+
 }  // namespace
 
 DleqStatement DleqStatement::MakePair(const RistrettoPoint& g1, const RistrettoPoint& p1,
@@ -160,8 +183,9 @@ DleqProver::DleqProver(DleqStatement statement, const Scalar& x, Rng& rng)
           "DleqProver: malformed statement");
   commits_.reserve(statement_.bases.size());
   commit_wire_.reserve(statement_.bases.size());
-  for (const auto& base : statement_.bases) {
-    commits_.push_back(y_ * base);
+  for (size_t i = 0; i < statement_.bases.size(); ++i) {
+    commits_.push_back(IsGeneratorBase(statement_, i) ? RistrettoPoint::MulBase(y_)
+                                                      : y_ * statement_.bases[i]);
     commit_wire_.push_back(commits_.back().Encode());
   }
 }
@@ -186,7 +210,7 @@ DleqTranscript SimulateDleq(const DleqStatement& statement, const Scalar& challe
   for (size_t i = 0; i < statement.bases.size(); ++i) {
     // Y_i = r*G_i + e*P_i makes the verification equation hold by
     // construction — without any witness.
-    t.commits.push_back(t.response * statement.bases[i] + challenge * statement.publics[i]);
+    t.commits.push_back(ResponseCommit(statement, i, t.response, challenge));
     t.commit_wire.push_back(t.commits.back().Encode());
   }
   return t;
@@ -200,15 +224,8 @@ Status VerifyDleqTranscript(const DleqStatement& statement, const DleqTranscript
     return Status::Error("dleq: commit count mismatch");
   }
   for (size_t i = 0; i < statement.bases.size(); ++i) {
-    // One shared-doubling ladder per pair instead of two full
-    // multiplications; a basepoint G_i rides the fixed-base table.
-    const RistrettoPoint& base = statement.bases[i];
     const RistrettoPoint expected =
-        base == RistrettoPoint::Base()
-            ? RistrettoPoint::DoubleScalarMulBase(transcript.challenge, statement.publics[i],
-                                                  transcript.response)
-            : MultiScalarMul(std::array{transcript.response, transcript.challenge},
-                             std::array{base, statement.publics[i]});
+        ResponseCommit(statement, i, transcript.response, transcript.challenge);
     if (!(expected == transcript.commits[i])) {
       return Status::Error("dleq: verification equation failed");
     }

@@ -124,8 +124,10 @@ struct DleqTranscript {
 class DleqProver {
  public:
   // Starts a proof of `statement` with witness `x`; draws the commitment
-  // nonce from `rng`. The commits' canonical encodings are computed here,
-  // once — the cost every later challenge hash or receipt print reuses.
+  // nonce from `rng`. Commits on a generator base (per base_wire when
+  // present, group equality otherwise) use MulBase. The commits' canonical
+  // encodings are computed here, once — the cost every later challenge hash
+  // or receipt print reuses.
   DleqProver(DleqStatement statement, const Scalar& x, Rng& rng);
 
   // The commits Y_i = y*G_i, available before any challenge exists.

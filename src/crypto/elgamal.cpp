@@ -8,9 +8,9 @@ ElGamalCiphertext ElGamalCiphertext::operator+(const ElGamalCiphertext& other) c
   return {c1 + other.c1, c2 + other.c2};
 }
 
-ElGamalCiphertext ElGamalCiphertext::ReRandomize(const RistrettoPoint& pk,
+ElGamalCiphertext ElGamalCiphertext::ReRandomize(const PrecomputedBase& pk,
                                                  const Scalar& r) const {
-  return {c1 + RistrettoPoint::MulBase(r), c2 + r * pk};
+  return {c1 + RistrettoPoint::MulBase(r), c2 + pk.Mul(r)};
 }
 
 ElGamalCiphertext ElGamalCiphertext::ExponentiateBy(const Scalar& z) const {

@@ -27,7 +27,9 @@ struct ElGamalCiphertext {
   ElGamalCiphertext operator+(const ElGamalCiphertext& other) const;
 
   // Re-encryption: adds an encryption of the identity with randomness r.
-  ElGamalCiphertext ReRandomize(const RistrettoPoint& pk, const Scalar& r) const;
+  // Takes the key's precomputed table: a mix multiplies the same key once
+  // per ciphertext, so both products ride fixed-base tables.
+  ElGamalCiphertext ReRandomize(const PrecomputedBase& pk, const Scalar& r) const;
 
   // Componentwise scalar multiplication: Enc(M; r) -> Enc(z*M; z*r).
   ElGamalCiphertext ExponentiateBy(const Scalar& z) const;

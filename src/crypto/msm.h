@@ -9,9 +9,11 @@
 // additions as n grows. This is the amortization that turns the linear-time
 // tally of Fig. 5b into a *fast* linear-time tally.
 //
-// All entry points are variable-time: they act on public data (signatures,
-// proofs, transcripts), never on secrets. Secret-dependent multiplications
-// must keep using the fixed-window paths in ristretto.h.
+// All entry points act on public data (signatures, proofs, transcripts),
+// never on secrets. Secret-dependent multiplications use the single-scalar
+// paths in ristretto.h (operator*, MulBase, PrecomputedBase::Mul); those are
+// variable-time as well today (fe25519.h; constant-time selection is an
+// open ROADMAP item).
 #ifndef SRC_CRYPTO_MSM_H_
 #define SRC_CRYPTO_MSM_H_
 

@@ -214,71 +214,191 @@ RistrettoPoint RistrettoPoint::Double() const {
   return RistrettoPoint(FeMul(e, f), FeMul(g, h), FeMul(f, g), FeMul(e, h));
 }
 
-RistrettoPoint operator*(const Scalar& s, const RistrettoPoint& p) {
-  // 4-bit fixed-window multiplication.
-  RistrettoPoint table[16];
-  table[0] = RistrettoPoint::Identity();
-  table[1] = p;
-  for (int i = 2; i < 16; ++i) {
-    table[i] = table[i - 1] + p;
+// Addition and doubling formulas for a = -1 (Hisil–Wong–Carter–Dawson
+// 2008), split so that each step produces a completed point and the next
+// step converts only as far as it needs: a doubling reads projective
+// (X:Y:Z), an addition reads extended (X:Y:Z:T), so a doubling chain forms
+// T once, right before the addition that closes it.
+struct PointKernels {
+  // ((X:Z), (Y:T)): x = X/Z, y = Y/T.
+  struct Completed {
+    Fe25519 x, y, z, t;
+  };
+  struct Projective {
+    Fe25519 x, y, z;
+  };
+  // A table entry for a variable base: (Y+X, Y-X, Z, 2d*T).
+  struct Cached {
+    Fe25519 y_plus_x, y_minus_x, z, t2d;
+  };
+
+  static Projective ToProjective(const Completed& c) {
+    return {FeMul(c.x, c.t), FeMul(c.y, c.z), FeMul(c.z, c.t)};
   }
-  auto bytes = s.ToBytes();
-  RistrettoPoint acc;
-  bool started = false;
-  for (int i = 63; i >= 0; --i) {
-    if (started) {
-      acc = acc.Double().Double().Double().Double();
-    }
-    uint8_t byte = bytes[static_cast<size_t>(i / 2)];
-    uint8_t nibble = (i % 2 == 1) ? (byte >> 4) : (byte & 0x0f);
-    if (nibble != 0) {
-      acc = started ? acc + table[nibble] : table[nibble];
-      started = true;
-    }
+
+  static RistrettoPoint ToExtended(const Completed& c) {
+    return RistrettoPoint(FeMul(c.x, c.t), FeMul(c.y, c.z), FeMul(c.z, c.t),
+                          FeMul(c.x, c.y));
   }
-  return started ? acc : RistrettoPoint::Identity();
-}
 
-namespace {
+  static Projective ToProjective(const RistrettoPoint& p) { return {p.x_, p.y_, p.z_}; }
 
-// Precomputed fixed-base table: kBaseTable[i][j] = j * 16^i * B, so that
-// s*B = sum_i kBaseTable[i][nibble_i(s)] costs 64 additions and no doublings.
-struct BaseTable {
-  RistrettoPoint entry[64][16];
+  static Cached ToCached(const RistrettoPoint& p) {
+    return {FeAdd(p.y_, p.x_), FeSub(p.y_, p.x_), p.z_, FeMul(p.t_, Consts().d2)};
+  }
 
-  BaseTable() {
-    RistrettoPoint power = RistrettoPoint::Base();  // 16^i * B
-    for (int i = 0; i < 64; ++i) {
-      entry[i][0] = RistrettoPoint::Identity();
-      for (int j = 1; j < 16; ++j) {
-        entry[i][j] = entry[i][j - 1] + power;
-      }
-      if (i + 1 < 64) {
-        power = entry[i][8].Double();  // 16^(i+1) * B = 2 * (8 * 16^i * B)
-      }
+  // dbl-2008-hwcd: 4 squarings, T of the input unused.
+  static Completed Double(const Projective& p) {
+    const Fe25519 xx = FeSquare(p.x);
+    const Fe25519 yy = FeSquare(p.y);
+    const Fe25519 zz2 = FeMulSmall(FeSquare(p.z), 2);
+    const Fe25519 x_plus_y_sq = FeSquare(FeAdd(p.x, p.y));
+    const Fe25519 yy_plus_xx = FeAdd(yy, xx);
+    const Fe25519 yy_minus_xx = FeSub(yy, xx);
+    return {FeSub(x_plus_y_sq, yy_plus_xx), yy_plus_xx, yy_minus_xx,
+            FeSub(zz2, yy_minus_xx)};
+  }
+
+  // p + q, or p - q when `negate` (swap Y+X with Y-X, flip 2d*T), for a
+  // cached q (add-2008-hwcd-3 with 2d*T2 precomputed) or an affine-Niels q
+  // (Z2 = 1, so Z1*Z2 is free: madd-2008-hwcd-3).
+  template <typename Entry>
+  static Completed Add(const RistrettoPoint& p, const Entry& q, bool negate) {
+    const Fe25519 pp = FeMul(FeAdd(p.y_, p.x_), negate ? q.y_minus_x : q.y_plus_x);
+    const Fe25519 mm = FeMul(FeSub(p.y_, p.x_), negate ? q.y_plus_x : q.y_minus_x);
+    const Fe25519 tt2d = FeMul(p.t_, q.t2d);
+    Fe25519 zz = p.z_;
+    if constexpr (requires { q.z; }) {
+      zz = FeMul(zz, q.z);
     }
+    const Fe25519 zz2 = FeAdd(zz, zz);
+    const Fe25519 sum = FeAdd(zz2, tt2d);
+    const Fe25519 diff = FeSub(zz2, tt2d);
+    return {FeSub(pp, mm), FeAdd(pp, mm), negate ? diff : sum, negate ? sum : diff};
   }
 };
 
-const BaseTable& GetBaseTable() {
-  static const BaseTable kTable;
-  return kTable;
+namespace {
+
+// Signed radix-16 digits of a canonical scalar, least significant first:
+// s = sum_i digits[i] * 16^i with digits[i] in [-8, 8) for i < 63. Scalars
+// are < l < 2^253, so the top digit absorbs the last carry and stays in
+// [0, 2]. Every |digit| <= 8 indexes an 8-entry table of P..8P.
+std::array<int8_t, 64> SignedRadix16(const Scalar& s) {
+  const std::array<uint8_t, 32> bytes = s.ToBytes();
+  std::array<int8_t, 64> digits;
+  for (size_t i = 0; i < 32; ++i) {
+    digits[2 * i] = static_cast<int8_t>(bytes[i] & 15);
+    digits[2 * i + 1] = static_cast<int8_t>(bytes[i] >> 4);
+  }
+  for (size_t i = 0; i < 63; ++i) {
+    const int8_t carry = static_cast<int8_t>((digits[i] + 8) >> 4);
+    digits[i] = static_cast<int8_t>(digits[i] - carry * 16);
+    digits[i + 1] = static_cast<int8_t>(digits[i + 1] + carry);
+  }
+  return digits;
 }
+
+// The slot of digit d != 0 in a table of P..8P: |d| - 1.
+size_t DigitSlot(int8_t d) { return static_cast<size_t>(d > 0 ? d - 1 : -d - 1); }
 
 }  // namespace
 
-RistrettoPoint RistrettoPoint::MulBase(const Scalar& s) {
-  const BaseTable& table = GetBaseTable();
-  auto bytes = s.ToBytes();
+RistrettoPoint operator*(const Scalar& s, const RistrettoPoint& p) {
+  using K = PointKernels;
+  const std::array<int8_t, 64> digits = SignedRadix16(s);
+  size_t top = 64;
+  while (top > 0 && digits[top - 1] == 0) {
+    --top;
+  }
+  if (top == 0) {
+    return RistrettoPoint::Identity();
+  }
+
+  // multiples[j] = (j+1)*P; 2P by doubling, the rest by adding P.
+  std::array<RistrettoPoint, 8> multiples;
+  multiples[0] = p;
+  multiples[1] = p.Double();
+  std::array<K::Cached, 8> table;
+  table[0] = K::ToCached(p);
+  for (size_t j = 2; j < 8; ++j) {
+    multiples[j] = K::ToExtended(K::Add(multiples[j - 1], table[0], false));
+  }
+  for (size_t j = 1; j < 8; ++j) {
+    table[j] = K::ToCached(multiples[j]);
+  }
+
+  // The leading digit is positive (s >= 0), so its multiple seeds the
+  // accumulator; each lower digit costs four doublings that stay projective
+  // and, when nonzero, one addition that needs T.
+  const RistrettoPoint& lead = multiples[DigitSlot(digits[top - 1])];
+  if (top == 1) {
+    return lead;
+  }
+  K::Projective q = K::ToProjective(lead);
+  K::Completed c;
+  for (size_t i = top - 1; i-- > 0;) {
+    c = K::Double(q);
+    for (int k = 0; k < 3; ++k) {
+      c = K::Double(K::ToProjective(c));
+    }
+    const int8_t d = digits[i];
+    if (d != 0) {
+      c = K::Add(K::ToExtended(c), table[DigitSlot(d)], d < 0);
+    }
+    q = K::ToProjective(c);
+  }
+  return K::ToExtended(c);
+}
+
+PrecomputedBase::PrecomputedBase(const RistrettoPoint& p) : table_(64 * 8) {
+  // Extended multiples first: row i holds 16^i*P, 2*16^i*P, ..., 8*16^i*P,
+  // and the next row's 16^(i+1)*P doubles the last entry.
+  std::vector<RistrettoPoint> multiples(table_.size());
+  RistrettoPoint power = p;
+  for (size_t i = 0; i < 64; ++i) {
+    RistrettoPoint* row = &multiples[8 * i];
+    row[0] = power;
+    for (size_t j = 1; j < 8; ++j) {
+      row[j] = row[j - 1] + power;
+    }
+    power = row[7].Double();
+  }
+
+  // Affine normalization with one field inversion: prefix[k] is the product
+  // of Z_0..Z_{k-1}. Z never vanishes on the curve, so the product inverts.
+  std::vector<Fe25519> prefix(multiples.size());
+  Fe25519 acc = FeOne();
+  for (size_t k = 0; k < multiples.size(); ++k) {
+    prefix[k] = acc;
+    acc = FeMul(acc, multiples[k].z_);
+  }
+  Fe25519 inv = FeInvert(acc);
+  for (size_t k = multiples.size(); k-- > 0;) {
+    const Fe25519 z_inv = FeMul(inv, prefix[k]);
+    inv = FeMul(inv, multiples[k].z_);
+    const Fe25519 x = FeMul(multiples[k].x_, z_inv);
+    const Fe25519 y = FeMul(multiples[k].y_, z_inv);
+    table_[k] = {FeAdd(y, x), FeSub(y, x), FeMul(FeMul(x, y), Consts().d2)};
+  }
+}
+
+RistrettoPoint PrecomputedBase::Mul(const Scalar& s) const {
+  using K = PointKernels;
+  const std::array<int8_t, 64> digits = SignedRadix16(s);
   RistrettoPoint acc;
-  for (int i = 0; i < 64; ++i) {
-    uint8_t byte = bytes[static_cast<size_t>(i / 2)];
-    uint8_t nibble = (i % 2 == 1) ? (byte >> 4) : (byte & 0x0f);
-    if (nibble != 0) {
-      acc = acc + table.entry[i][nibble];
+  for (size_t i = 0; i < 64; ++i) {
+    const int8_t d = digits[i];
+    if (d != 0) {
+      acc = K::ToExtended(K::Add(acc, table_[8 * i + DigitSlot(d)], d < 0));
     }
   }
   return acc;
+}
+
+RistrettoPoint RistrettoPoint::MulBase(const Scalar& s) {
+  static const PrecomputedBase kGenerator(Base());
+  return kGenerator.Mul(s);
 }
 
 RistrettoPoint RistrettoPoint::MulBaseSlow(const Scalar& s) { return s * Base(); }

@@ -8,7 +8,14 @@
 // handle case by case.
 //
 // Internal representation: extended Edwards coordinates (X:Y:Z:T) with
-// x = X/Z, y = Y/Z, x*y = T/Z on the a=-1 twisted Edwards curve.
+// x = X/Z, y = Y/Z, x*y = T/Z on the a=-1 twisted Edwards curve. Scalar
+// multiplication works in three more forms, all internal to ristretto.cpp:
+// projective (X:Y:Z) for doubling chains, completed ((X:Z),(Y:T)) as the
+// output of every addition and doubling, and cached (Y+X, Y-X, Z, 2dT) /
+// affine-Niels (y+x, y-x, 2dxy) for the table entries an addition reads.
+//
+// All scalar multiplications are variable-time (fe25519.h; paper
+// Appendix L places timing side channels out of scope).
 #ifndef SRC_CRYPTO_RISTRETTO_H_
 #define SRC_CRYPTO_RISTRETTO_H_
 
@@ -16,6 +23,7 @@
 #include <optional>
 #include <span>
 #include <string_view>
+#include <vector>
 
 #include "src/crypto/fe25519.h"
 #include "src/crypto/scalar.h"
@@ -62,15 +70,17 @@ class RistrettoPoint {
   RistrettoPoint operator-() const;
   RistrettoPoint Double() const;
 
-  // Variable-base scalar multiplication (4-bit window).
+  // Variable-base scalar multiplication: signed radix-16 digits over an
+  // 8-entry cached table of P..8P, projective doubling chains, leading zero
+  // digits skipped (a 128-bit scalar pays half the doublings).
   friend RistrettoPoint operator*(const Scalar& s, const RistrettoPoint& p);
 
-  // Fixed-base scalar multiplication s*B using a precomputed radix-16 table
-  // (~16x faster than the variable-base path; an ablation bench quantifies
-  // this, see bench/ablation_design_choices).
+  // Fixed-base scalar multiplication s*B on the process-wide PrecomputedBase
+  // of the generator: 64 mixed additions, no doublings (~4x cheaper than
+  // operator*; crypto_microbench BM_RistrettoMulBase vs BM_RistrettoVarMul).
   static RistrettoPoint MulBase(const Scalar& s);
 
-  // Fixed-base multiplication without the precomputed table (ablation only).
+  // s*B through the variable-base operator* (ablation only).
   static RistrettoPoint MulBaseSlow(const Scalar& s);
 
   // a*P + b*Base, the Schnorr verification workhorse. Implemented on the MSM
@@ -96,6 +106,8 @@ class RistrettoPoint {
   friend size_t BatchValidateEncodings(std::span<const RistrettoPoint> points,
                                        std::span<const std::array<uint8_t, 32>> bytes,
                                        std::span<uint8_t> ok);
+  friend class PrecomputedBase;
+  friend struct PointKernels;  // addition/doubling formulas, ristretto.cpp
 
   Fe25519 x_;
   Fe25519 y_;
@@ -105,6 +117,33 @@ class RistrettoPoint {
 
 // Convenience alias used by protocol signatures.
 using CompressedRistretto = std::array<uint8_t, 32>;
+
+// A fixed base P with its signed radix-16 table: entry [i][j] holds
+// (j+1) * 16^i * P in affine-Niels form (y+x, y-x, 2d*x*y) for i < 64,
+// j < 8, so Mul(s) costs one mixed addition per nonzero digit of s and no
+// doublings. 512 entries of 120 bytes (60 KiB), normalized with one
+// Montgomery-batched inversion; building one costs a few hundred
+// microseconds, so it pays off after a handful of multiplications.
+//
+// MulBase uses one process-wide instance for the generator; the election
+// authority holds one for its public key A_pk (ElectionAuthority::
+// public_key_table()), which every mix re-encryption multiplies.
+class PrecomputedBase {
+ public:
+  explicit PrecomputedBase(const RistrettoPoint& p);
+
+  // s * P.
+  RistrettoPoint Mul(const Scalar& s) const;
+
+ private:
+  struct NielsEntry {
+    Fe25519 y_plus_x;
+    Fe25519 y_minus_x;
+    Fe25519 t2d;  // 2d*x*y: the cached form's 2d*T with Z = 1
+  };
+
+  std::vector<NielsEntry> table_;  // 64 rows of 8, row-major
+};
 
 // --- Batched canonical encode/decode ---------------------------------------
 //

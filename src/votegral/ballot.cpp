@@ -1,6 +1,9 @@
 #include "src/votegral/ballot.h"
 
+#include <array>
+
 #include "src/common/serde.h"
+#include "src/crypto/msm.h"
 #include "src/crypto/sha512.h"
 #include "src/trip/messages.h"
 
@@ -229,8 +232,9 @@ Status CheckRevoteBallot(const RevoteBallot& ballot, const RistrettoPoint& autho
   if (!(lhs1 == *t1)) {
     return Status::Error("revote ballot: binding proof first equation failed");
   }
-  const RistrettoPoint lhs2 =
-      ballot.proof.z1 * authority_pk + RistrettoPoint::MulBase(ballot.proof.z2) - e * c.c2;
+  // z2*B + z1*A - e*C2 in one shared-doubling ladder.
+  const RistrettoPoint lhs2 = MultiScalarMulWithBase(
+      ballot.proof.z2, std::array{ballot.proof.z1, -e}, std::array{authority_pk, c.c2});
   if (!(lhs2 == *t2)) {
     return Status::Error("revote ballot: binding proof second equation failed");
   }

@@ -19,7 +19,7 @@ constexpr std::string_view kChallengeDomain = "votegral/mixnet/rpc-challenge/v1"
 constexpr std::string_view kLinkWeightDomain = "votegral/mixnet/link-rlc-weights/v1";
 
 // Applies a re-encryption with the given per-ciphertext randomness.
-MixItem ReEncryptItem(const MixItem& item, const RistrettoPoint& pk,
+MixItem ReEncryptItem(const MixItem& item, const PrecomputedBase& pk,
                       const std::vector<Scalar>& randomness) {
   Require(item.cts.size() == randomness.size(), "mixnet: randomness width mismatch");
   MixItem out;
@@ -134,7 +134,7 @@ void MixServer::Prepare(size_t n, Rng& rng) {
   }
 }
 
-void MixServer::ShuffleShardRange(const MixBatch& input, const RistrettoPoint& pk,
+void MixServer::ShuffleShardRange(const MixBatch& input, const PrecomputedBase& pk,
                                   size_t begin, size_t end, Rng& child, MixBatch& output) {
   Require(end <= source_.size() && output.size() == source_.size(),
           "mixnet: shard range outside prepared layer");
@@ -151,7 +151,7 @@ void MixServer::ShuffleShardRange(const MixBatch& input, const RistrettoPoint& p
   }
 }
 
-MixBatch MixServer::Shuffle(const MixBatch& input, const RistrettoPoint& pk, Rng& rng,
+MixBatch MixServer::Shuffle(const MixBatch& input, const PrecomputedBase& pk, Rng& rng,
                             Executor& executor) {
   const size_t n = input.size();
   Prepare(n, rng);
@@ -202,7 +202,7 @@ void FinishRpcPair(const MixServer& layer_a, const MixServer& layer_b,
   *h_out_chain = h_out;
 }
 
-MixBatch RunRpcMixCascade(const MixBatch& input, const RistrettoPoint& pk, size_t pair_count,
+MixBatch RunRpcMixCascade(const MixBatch& input, const PrecomputedBase& pk, size_t pair_count,
                           Rng& rng, MixProof* proof, Executor& executor) {
   Require(pair_count >= 1, "mixnet: need at least one pair");
   Require(proof != nullptr, "mixnet: proof output required");
@@ -241,9 +241,10 @@ struct ResolvedLink {
 // (middle-index order), so the report is deterministic.
 Status CheckLinksPerItem(std::span<const ResolvedLink> links, const RistrettoPoint& pk,
                          size_t pair_index, Executor& executor) {
+  const PrecomputedBase pk_table(pk);
   if (auto i = ParallelFirstFailure(executor, links.size(), [&](size_t i) {
         const ResolvedLink& link = links[i];
-        return ReEncryptItem(*link.src, pk, *link.randomness) == *link.dst;
+        return ReEncryptItem(*link.src, pk_table, *link.randomness) == *link.dst;
       });
       i.has_value()) {
     const ResolvedLink& link = links[*i];

@@ -112,11 +112,13 @@ struct MixProof {
   std::vector<RpcPairProof> pairs;
 };
 
-// Runs `pair_count` RPC pairs (2·pair_count mix servers) over `input`.
-// Returns the final shuffled batch and fills `proof`. Shuffle re-encryption
-// fans out across `executor` under forked per-shard DRBGs; the output and
-// proof are byte-identical at any thread count.
-MixBatch RunRpcMixCascade(const MixBatch& input, const RistrettoPoint& pk, size_t pair_count,
+// Runs `pair_count` RPC pairs (2·pair_count mix servers) over `input`,
+// re-encrypting under the key whose table is `pk` (the tally passes
+// ElectionAuthority::public_key_table()). Returns the final shuffled batch
+// and fills `proof`. Shuffle re-encryption fans out across `executor` under
+// forked per-shard DRBGs; the output and proof are byte-identical at any
+// thread count.
+MixBatch RunRpcMixCascade(const MixBatch& input, const PrecomputedBase& pk, size_t pair_count,
                           Rng& rng, MixProof* proof,
                           Executor& executor = Executor::Global());
 
@@ -159,7 +161,7 @@ class MixServer {
   // The permutation is drawn sequentially from `rng`; re-encryption
   // randomness comes from per-shard forked streams so the result is
   // reproducible at any thread count.
-  MixBatch Shuffle(const MixBatch& input, const RistrettoPoint& pk, Rng& rng,
+  MixBatch Shuffle(const MixBatch& input, const PrecomputedBase& pk, Rng& rng,
                    Executor& executor = Executor::Global());
 
   // Draws the Fisher-Yates permutation for an n-item layer from `rng`
@@ -172,7 +174,7 @@ class MixServer {
   // (pre-sized to n by the caller), drawing randomness from `child` — the
   // forked stream for this shard. Wire caches are filled in the same pass.
   // Safe to run concurrently for disjoint ranges.
-  void ShuffleShardRange(const MixBatch& input, const RistrettoPoint& pk, size_t begin,
+  void ShuffleShardRange(const MixBatch& input, const PrecomputedBase& pk, size_t begin,
                          size_t end, Rng& child, MixBatch& output);
 
   // For output index j: the input index it came from plus the randomness.

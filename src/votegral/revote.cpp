@@ -363,7 +363,7 @@ Status RunRevoteDedup(const TallyService& service, Rng& rng, TallyPipelineState&
   if (Status fault = ProbeStageFault(faults::kMixShuffle, 2, "revote mix"); !fault.ok()) {
     return fault;
   }
-  rt.mix_output = RunRpcMixCascade(rt.mix_input, service.authority().public_key(),
+  rt.mix_output = RunRpcMixCascade(rt.mix_input, service.authority().public_key_table(),
                                    service.mix_pairs(), rng, &rt.mix_proof, executor);
 
   // Tag the credential column, then verifiably decrypt tags and counters.

@@ -159,7 +159,7 @@ void DrawTagRandomness(ChainFlow& flow, const TaggingService& tagging, Rng& rng)
 void SubmitChainNodes(TaskGraph& graph, const TallyService& service, ChainFlow& flow,
                       const AuthorityClient& client, BusyClock& clock,
                       const std::function<void(size_t)>& build_item) {
-  const RistrettoPoint& pk = service.authority().public_key();
+  const PrecomputedBase& pk = service.authority().public_key_table();
   const size_t pairs = service.mix_pairs();
   const size_t members = service.tagging().size();
   const size_t shard_count = flow.shards.size();

@@ -49,7 +49,7 @@ TEST(Mixnet, ShufflePreservesPlaintextMultiset) {
   MixBatch input = MakeBatch(20, 2, pk, &plaintexts, rng);
 
   MixProof proof;
-  MixBatch output = RunRpcMixCascade(input, pk, /*pair_count=*/2, rng, &proof);
+  MixBatch output = RunRpcMixCascade(input, PrecomputedBase(pk), /*pair_count=*/2, rng, &proof);
   ASSERT_EQ(output.size(), input.size());
   for (size_t column = 0; column < 2; ++column) {
     EXPECT_EQ(DecryptColumn(input, sk, column), DecryptColumn(output, sk, column));
@@ -68,7 +68,7 @@ TEST(Mixnet, BundleColumnsStayAligned) {
     pairing[HexEncode(row[0].Encode())] = HexEncode(row[1].Encode());
   }
   MixProof proof;
-  MixBatch output = RunRpcMixCascade(input, pk, 2, rng, &proof);
+  MixBatch output = RunRpcMixCascade(input, PrecomputedBase(pk), 2, rng, &proof);
   for (const MixItem& item : output) {
     auto a = HexEncode(ElGamalDecrypt(sk, item.cts[0]).Encode());
     auto b = HexEncode(ElGamalDecrypt(sk, item.cts[1]).Encode());
@@ -84,7 +84,7 @@ TEST(Mixnet, ProofVerifies) {
   std::vector<std::vector<RistrettoPoint>> plaintexts;
   MixBatch input = MakeBatch(12, 1, pk, &plaintexts, rng);
   MixProof proof;
-  MixBatch output = RunRpcMixCascade(input, pk, 2, rng, &proof);
+  MixBatch output = RunRpcMixCascade(input, PrecomputedBase(pk), 2, rng, &proof);
   EXPECT_TRUE(VerifyRpcMixCascade(input, output, proof, pk).ok());
 }
 
@@ -98,7 +98,7 @@ TEST(Mixnet, TamperedRevealRandomnessRejectedInBothModes) {
   std::vector<std::vector<RistrettoPoint>> plaintexts;
   MixBatch input = MakeBatch(12, 2, pk, &plaintexts, rng);
   MixProof proof;
-  MixBatch output = RunRpcMixCascade(input, pk, 1, rng, &proof);
+  MixBatch output = RunRpcMixCascade(input, PrecomputedBase(pk), 1, rng, &proof);
   ASSERT_TRUE(VerifyRpcMixCascade(input, output, proof, pk).ok());
 
   MixProof tampered = proof;
@@ -131,7 +131,7 @@ TEST(Mixnet, TamperedOutputRejected) {
   // tampered (each tampered link is caught with probability 1/2).
   MixBatch input = MakeBatch(40, 1, pk, &plaintexts, rng);
   MixProof proof;
-  MixBatch output = RunRpcMixCascade(input, pk, 2, rng, &proof);
+  MixBatch output = RunRpcMixCascade(input, PrecomputedBase(pk), 2, rng, &proof);
 
   // Substituting ballots wholesale in the final output: detected because the
   // published output hash no longer matches the proof's last layer.
@@ -151,7 +151,7 @@ TEST(Mixnet, CheatingMixerCaughtWithHighProbability) {
   std::vector<std::vector<RistrettoPoint>> plaintexts;
   MixBatch input = MakeBatch(32, 1, pk, &plaintexts, rng);
   MixProof proof;
-  MixBatch output = RunRpcMixCascade(input, pk, 1, rng, &proof);
+  MixBatch output = RunRpcMixCascade(input, PrecomputedBase(pk), 1, rng, &proof);
 
   // Tamper with the middle layer of the (only) pair: swap in fresh
   // encryptions. The reveals now point at re-encryptions that don't check.
@@ -169,7 +169,7 @@ TEST(Mixnet, RevealsOpenOnlyOneSidePerItem) {
   std::vector<std::vector<RistrettoPoint>> plaintexts;
   MixBatch input = MakeBatch(64, 1, pk, &plaintexts, rng);
   MixProof proof;
-  (void)RunRpcMixCascade(input, pk, 2, rng, &proof);
+  (void)RunRpcMixCascade(input, PrecomputedBase(pk), 2, rng, &proof);
   for (const RpcPairProof& pair : proof.pairs) {
     ASSERT_EQ(pair.reveals.size(), input.size());
     size_t left = 0;
@@ -193,13 +193,13 @@ TEST(Mixnet, EmptyAndSingletonBatches) {
   std::vector<std::vector<RistrettoPoint>> plaintexts;
   MixBatch one = MakeBatch(1, 2, pk, &plaintexts, rng);
   MixProof proof;
-  MixBatch out = RunRpcMixCascade(one, pk, 2, rng, &proof);
+  MixBatch out = RunRpcMixCascade(one, PrecomputedBase(pk), 2, rng, &proof);
   EXPECT_TRUE(VerifyRpcMixCascade(one, out, proof, pk).ok());
   EXPECT_TRUE(ElGamalDecrypt(sk, out[0].cts[0]) == plaintexts[0][0]);
   // Empty batch: trivially fine.
   MixBatch empty;
   MixProof empty_proof;
-  MixBatch empty_out = RunRpcMixCascade(empty, pk, 2, rng, &empty_proof);
+  MixBatch empty_out = RunRpcMixCascade(empty, PrecomputedBase(pk), 2, rng, &empty_proof);
   EXPECT_TRUE(empty_out.empty());
   EXPECT_TRUE(VerifyRpcMixCascade(empty, empty_out, empty_proof, pk).ok());
 }
@@ -466,8 +466,8 @@ TEST_P(MixTagJoin, TagsSurviveMixing) {
   }
   MixProof p1;
   MixProof p2;
-  MixBatch roster_mixed = RunRpcMixCascade(roster, pk, 2, rng, &p1);
-  MixBatch ballots_mixed = RunRpcMixCascade(ballots, pk, 2, rng, &p2);
+  MixBatch roster_mixed = RunRpcMixCascade(roster, authority.public_key_table(), 2, rng, &p1);
+  MixBatch ballots_mixed = RunRpcMixCascade(ballots, authority.public_key_table(), 2, rng, &p2);
 
   auto column = [](const MixBatch& b) {
     std::vector<ElGamalCiphertext> out;

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/bytes.h"
@@ -186,6 +189,76 @@ TEST(Ristretto, EqualityIsCosetAware) {
   RistrettoPoint via2 = p.Double() + q;
   EXPECT_TRUE(via1 == via2);
   EXPECT_EQ(via1.Encode(), via2.Encode());
+}
+
+// --- Scalar-multiplication kernels ------------------------------------------
+//
+// operator*, MulBase and PrecomputedBase::Mul share the signed radix-16
+// recoding and the cached/affine-Niels addition formulas. MulBaseSlow and
+// MultiScalarMulNaive both route through operator*, so the reference here is
+// a plain MSB-first double-and-add over the scalar's bits that uses only
+// operator+ and Double().
+RistrettoPoint DoubleAndAdd(const Scalar& s, const RistrettoPoint& p) {
+  const auto bytes = s.ToBytes();
+  RistrettoPoint acc;
+  for (int bit = 255; bit >= 0; --bit) {
+    acc = acc.Double();
+    if ((bytes[static_cast<size_t>(bit / 8)] >> (bit % 8)) & 1) {
+      acc = acc + p;
+    }
+  }
+  return acc;
+}
+
+// The digit-recoding edge cases: small values around the radix, the top of
+// the scalar range, a 128-bit scalar (leading zero digits), and all nibbles
+// 8 — every digit recodes to -8 with a carry into the next, the longest
+// carry chain the recoding can produce.
+std::vector<std::pair<std::string, Scalar>> KernelScalars(Rng& rng) {
+  std::array<uint8_t, 32> low128{};
+  std::fill(low128.begin(), low128.begin() + 16, uint8_t{0xff});
+  std::array<uint8_t, 32> eights;
+  eights.fill(0x88);
+  eights[31] = 0x08;  // 0x0888...88 < l
+  std::vector<std::pair<std::string, Scalar>> out = {
+      {"0", Scalar::Zero()},
+      {"1", Scalar::One()},
+      {"8", Scalar::FromU64(8)},
+      {"15", Scalar::FromU64(15)},
+      {"16", Scalar::FromU64(16)},
+      {"l-1", -Scalar::One()},
+      {"l-8", -Scalar::FromU64(8)},
+      {"2^128-1", Scalar::FromBytesModL(low128)},
+      {"all-nibbles-8", Scalar::FromBytesModL(eights)},
+  };
+  EXPECT_EQ(out.back().second.ToBytes(), eights);  // canonical as written
+  for (int i = 0; i < 6; ++i) {
+    out.emplace_back("random" + std::to_string(i), Scalar::Random(rng));
+  }
+  return out;
+}
+
+TEST(RistrettoKernels, AllMultipliersMatchDoubleAndAdd) {
+  ChaChaRng rng(41);
+  const auto scalars = KernelScalars(rng);
+  const std::vector<std::pair<std::string, RistrettoPoint>> points = {
+      {"identity", RistrettoPoint::Identity()},
+      {"B", RistrettoPoint::Base()},
+      {"random0", RandomPoint(rng)},
+      {"random1", RandomPoint(rng)},
+  };
+  for (const auto& [point_name, p] : points) {
+    const PrecomputedBase table(p);
+    for (const auto& [scalar_name, s] : scalars) {
+      const RistrettoPoint expected = DoubleAndAdd(s, p);
+      const std::string where = scalar_name + " * " + point_name;
+      EXPECT_EQ((s * p).Encode(), expected.Encode()) << "operator* " << where;
+      EXPECT_EQ(table.Mul(s).Encode(), expected.Encode()) << "PrecomputedBase " << where;
+      if (point_name == "B") {
+        EXPECT_EQ(RistrettoPoint::MulBase(s).Encode(), expected.Encode()) << "MulBase " << where;
+      }
+    }
+  }
 }
 
 // Parameterized: k*(m*P) == (k*m)*P across a sweep of small k, m.

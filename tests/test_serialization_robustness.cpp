@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "src/crypto/drbg.h"
+#include "src/ledger/persistence.h"
 #include "src/net/transport.h"
 #include "src/replica/messages.h"
 #include "src/trip/registrar.h"
@@ -163,6 +164,9 @@ TEST_F(SerializationFuzz, RandomGarbageNeverCrashesParsers) {
     (void)SignedCheckpoint::Parse(garbage);
     (void)RevoteBallot::Parse(garbage);
     (void)RevoteBindingProof::Parse(garbage);
+    // Ledger snapshots arrive as downloaded files (in-memory import).
+    (void)ParseLedger(garbage);
+    (void)ParsePublicLedger(garbage);
     for (ReplicaMsgType type :
          {ReplicaMsgType::kGetCheckpoint, ReplicaMsgType::kCheckpoint,
           ReplicaMsgType::kGetFrames, ReplicaMsgType::kFrames, ReplicaMsgType::kError}) {
@@ -175,6 +179,24 @@ TEST_F(SerializationFuzz, RandomGarbageNeverCrashesParsers) {
     }
   }
   SUCCEED();
+}
+
+TEST_F(SerializationFuzz, DamagedPublicLedgerSnapshotsAreRejected) {
+  // One valid snapshot of the fixture's board, then every strict prefix and
+  // one flipped bit per byte (cycling through the bit positions). Framing,
+  // magic, lengths, entry hashes and chain links each catch some of these;
+  // none may crash, and none may import.
+  const Bytes wire = SerializePublicLedger(system_->ledger());
+  ASSERT_TRUE(ParsePublicLedger(wire).ok());
+  for (size_t cut = 0; cut < wire.size(); ++cut) {
+    const Bytes truncated(wire.begin(), wire.begin() + static_cast<ptrdiff_t>(cut));
+    EXPECT_FALSE(ParsePublicLedger(truncated).ok()) << "prefix of " << cut << " bytes";
+  }
+  for (size_t pos = 0; pos < wire.size(); ++pos) {
+    Bytes flipped = wire;
+    flipped[pos] ^= static_cast<uint8_t>(1u << (pos % 8));
+    EXPECT_FALSE(ParsePublicLedger(flipped).ok()) << "bit " << pos % 8 << " of byte " << pos;
+  }
 }
 
 }  // namespace

@@ -113,7 +113,7 @@ TEST(ElGamal, ReRandomizePreservesPlaintext) {
   RistrettoPoint pk = RistrettoPoint::MulBase(sk);
   RistrettoPoint msg = RistrettoPoint::FromUniformBytes(rng.RandomBytes(64));
   auto ct = ElGamalEncrypt(pk, msg, rng);
-  auto ct2 = ct.ReRandomize(pk, Scalar::Random(rng));
+  auto ct2 = ct.ReRandomize(PrecomputedBase(pk), Scalar::Random(rng));
   EXPECT_NE(ct, ct2);
   EXPECT_TRUE(ElGamalDecrypt(sk, ct2) == msg);
 }
@@ -154,7 +154,7 @@ TEST(ElGamal, TrivialEncryptThenReRandomize) {
   auto trivial = ElGamalTrivialEncrypt(msg);
   EXPECT_TRUE(trivial.c1.IsIdentity());
   EXPECT_TRUE(ElGamalDecrypt(sk, trivial) == msg);
-  auto randomized = trivial.ReRandomize(pk, Scalar::Random(rng));
+  auto randomized = trivial.ReRandomize(PrecomputedBase(pk), Scalar::Random(rng));
   EXPECT_FALSE(randomized.c1.IsIdentity());
   EXPECT_TRUE(ElGamalDecrypt(sk, randomized) == msg);
 }
