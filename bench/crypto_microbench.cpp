@@ -15,6 +15,7 @@
 #include "src/crypto/sha256.h"
 #include "src/crypto/sha512.h"
 #include "src/trip/registrar.h"
+#include "src/votegral/ballot.h"
 
 namespace votegral {
 namespace {
@@ -459,6 +460,66 @@ void BM_BatchVerifySchnorrSharedKey(benchmark::State& state) {
 BENCHMARK(BM_BatchVerifySchnorrSharedKey)
     ->Arg(1024)
     ->Unit(benchmark::kMillisecond);
+
+// ---- One validate shard: batched vs per-item signature checks ----
+//
+// The tally's validate stage checks each ledger shard's ballots as one
+// BatchVerifySchnorr call (hash-seeded weights); the per-item path now runs
+// only to localize a failure. The shape is one shard of the `election`
+// workload: ~19 ballots, kiosk certificates under 4 kiosk keys, and one
+// distinct credential key per ballot — 38 signatures, 4 + 19 distinct keys.
+
+std::vector<SchnorrBatchEntry> MakeValidateShardSignatures(size_t ballots, size_t kiosks,
+                                                           uint64_t seed) {
+  ChaChaRng rng(seed);
+  std::vector<SchnorrKeyPair> kiosk_keys;
+  for (size_t k = 0; k < kiosks; ++k) {
+    kiosk_keys.push_back(SchnorrKeyPair::Generate(rng));
+  }
+  std::vector<SchnorrBatchEntry> entries;
+  entries.reserve(2 * ballots);
+  for (size_t i = 0; i < ballots; ++i) {
+    const SchnorrKeyPair& kiosk = kiosk_keys[i % kiosks];
+    SchnorrKeyPair credential = SchnorrKeyPair::Generate(rng);
+    Ballot ballot;
+    ballot.encrypted_vote = ElGamalEncrypt(RistrettoPoint::Base(), RistrettoPoint::Base(), rng);
+    ballot.credential_pk = credential.public_bytes();
+    ballot.kiosk_pk = kiosk.public_bytes();
+    rng.Fill(ballot.kiosk_cert_hash);
+    ballot.kiosk_cert = kiosk.Sign(
+        ResponseSegment::SignedPayload(ballot.credential_pk, ballot.kiosk_cert_hash), rng);
+    ballot.credential_sig = credential.Sign(ballot.SignedPayload(), rng);
+    for (SchnorrBatchEntry& entry : BallotSignatureEntries(ballot)) {
+      entries.push_back(std::move(entry));
+    }
+  }
+  return entries;
+}
+
+void BM_ValidateShardBatched(benchmark::State& state) {
+  auto entries = MakeValidateShardSignatures(static_cast<size_t>(state.range(0)), 4, 30);
+  for (auto _ : state) {
+    ChaChaRng weights(SchnorrBatchWeightSeed("bench/validate-shard", entries));
+    Status s = BatchVerifySchnorr(entries, weights);
+    Require(s.ok(), "bench: validate-shard batch must pass");
+    benchmark::DoNotOptimize(s);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(entries.size()));
+}
+BENCHMARK(BM_ValidateShardBatched)->Arg(19)->Unit(benchmark::kMicrosecond);
+
+void BM_ValidateShardPerItem(benchmark::State& state) {
+  auto entries = MakeValidateShardSignatures(static_cast<size_t>(state.range(0)), 4, 30);
+  for (auto _ : state) {
+    for (const SchnorrBatchEntry& entry : entries) {
+      Status s = SchnorrVerify(entry.public_key, entry.message, entry.signature);
+      Require(s.ok(), "bench: validate-shard signature must pass");
+      benchmark::DoNotOptimize(s);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(entries.size()));
+}
+BENCHMARK(BM_ValidateShardPerItem)->Arg(19)->Unit(benchmark::kMicrosecond);
 
 void BM_TripFullRegistration(benchmark::State& state) {
   // The TRIP-Core per-voter registration crypto path (kiosk + official +

@@ -11,8 +11,8 @@
 //   * verification cost share — FollowerSyncStats' recv/verify/apply split,
 //   * peak pinned segment bytes on BOTH sides — the leader streams via a
 //     LedgerCursor and the follower appends through the segmented store, so
-//     each must stay O(segment), not O(ledger), while the log is 16x the
-//     segment size (Require-enforced, same bound as fig_ledger_stream),
+//     each must stay at most 4 × the segment file size while the log is 16x
+//     the segment size (Require-enforced, same bound as fig_ledger_stream),
 //   * an incremental round — half a segment of fresh appends, resynced, to
 //     show delta sync costs O(delta) rather than O(log).
 //
@@ -148,14 +148,15 @@ BenchRow RunOne(uint64_t segment_entries, const std::string& scratch) {
     row.apply_share = stats.apply_seconds / accounted;
   }
 
-  // The O(segment) residency bound, on both ends, after a 16x-segment sync.
+  // The residency bound, on both ends, after a 16x-segment sync: peak
+  // pinned bytes at most 4 × the segment file size.
   row.leader_pinned = FileStore(board).PeakPinnedBytes();
   row.follower_pinned = FileStore(follower->ledger()).PeakPinnedBytes();
   row.segment_bytes = fs::file_size(FileStore(board).SegmentPath(0));
   Require(row.leader_pinned <= 4 * row.segment_bytes,
-          "replication bench: leader resident memory exceeded O(segment size)");
+          "replication bench: leader peak pinned bytes exceed 4 x segment file size");
   Require(row.follower_pinned <= 4 * row.segment_bytes,
-          "replication bench: follower resident memory exceeded O(segment size)");
+          "replication bench: follower peak pinned bytes exceed 4 x segment file size");
 
   // Incremental round: half a segment of fresh appends, then resync.
   row.delta_entries = segment_entries / 2;
@@ -214,8 +215,8 @@ void RunSweep() {
                   std::to_string(row.follower_pinned / 1024) + " KiB"});
   }
   std::printf("%s\n", table.Format().c_str());
-  std::printf("Peak pinned bytes track the segment size on both ends while the log "
-              "is %llux the segment — O(segment), not O(ledger). Incremental rounds "
+  std::printf("Peak pinned bytes stay <= 4 x the segment file size on both ends "
+              "(enforced) while the log is %llux the segment. Incremental rounds "
               "start at the durable size (no sealed-segment re-download).\n\n",
               static_cast<unsigned long long>(kSegmentsPerLog));
 

@@ -1,6 +1,7 @@
 #include "src/crypto/batch.h"
 
 #include <array>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/executor.h"
@@ -38,26 +39,44 @@ Status BatchVerifySchnorr(std::span<const SchnorrBatchEntry> entries, Rng& rng) 
   // multiplication; the shared-doubling/bucket engine amortizes the group
   // work to a few additions per signature.
   //
-  // Entry preparation splits into two pooled passes: the (pk, R) bytes of
-  // every entry go through one batched ristretto decode — the per-entry
+  // Entry preparation splits into two pooled passes: every distinct public
+  // key and every R go through one batched ristretto decode — the per-point
   // inverse-square-root cost, fanned out with fixed positions — and a second
   // pass hashes challenges and writes the weighted terms, with each shard
   // accumulating a partial of the fixed-base coefficient merged in shard
-  // order. Weights are drawn from `rng` up front, sequentially, so the
-  // weight stream is independent of scheduling.
+  // order. A public key is decoded once per batch however many entries it
+  // signs: a ballot shard repeats a few kiosk keys, and the roster repeats a
+  // few kiosk and official keys across every record. Weights are drawn from
+  // `rng` up front, sequentially, so the weight stream is independent of
+  // scheduling.
   const size_t n = entries.size();
+  if (n == 0) {
+    return Status::Ok();
+  }
   std::vector<Scalar> weights(n);
   for (Scalar& w : weights) {
     w = RandomRlcWeight(rng);
   }
 
-  std::vector<CompressedRistretto> raw(2 * n);
+  // wire = [pk_0, R_0, pk_1, R_1, ...]: the MSM's term keys. `raw` holds the
+  // bytes to decode: R_i at i, then each distinct key once; pk_slot[i] is
+  // where entry i's key landed.
+  std::vector<CompressedRistretto> wire(2 * n);
+  std::vector<CompressedRistretto> raw(n);
+  std::vector<size_t> pk_slot(n);
+  std::unordered_map<CompressedRistretto, size_t, CompressedRistrettoHash> key_slot;
   for (size_t i = 0; i < n; ++i) {
-    raw[2 * i] = entries[i].public_key;
-    raw[2 * i + 1] = entries[i].signature.r_bytes;
+    wire[2 * i] = entries[i].public_key;
+    wire[2 * i + 1] = entries[i].signature.r_bytes;
+    raw[i] = entries[i].signature.r_bytes;
+    auto [it, inserted] = key_slot.try_emplace(entries[i].public_key, raw.size());
+    if (inserted) {
+      raw.push_back(entries[i].public_key);
+    }
+    pk_slot[i] = it->second;
   }
-  std::vector<RistrettoPoint> decoded(2 * n);
-  std::vector<uint8_t> decode_ok(2 * n, 0);
+  std::vector<RistrettoPoint> decoded(raw.size());
+  std::vector<uint8_t> decode_ok(raw.size(), 0);
   BatchDecodePoints(raw, decoded, decode_ok);
 
   std::vector<Scalar> scalars(2 * n);
@@ -69,7 +88,7 @@ Status BatchVerifySchnorr(std::span<const SchnorrBatchEntry> entries, Rng& rng) 
     Scalar sum = Scalar::Zero();
     for (size_t i = shards[s].first; i < shards[s].second; ++i) {
       const SchnorrBatchEntry& entry = entries[i];
-      if (!decode_ok[2 * i] || !decode_ok[2 * i + 1]) {
+      if (!decode_ok[pk_slot[i]] || !decode_ok[i]) {
         bad[i] = 1;
         continue;
       }
@@ -77,9 +96,9 @@ Status BatchVerifySchnorr(std::span<const SchnorrBatchEntry> entries, Rng& rng) 
                                           entry.message);
       sum = sum + weights[i] * entry.signature.s;
       scalars[2 * i] = -(weights[i] * challenge);
-      points[2 * i] = decoded[2 * i];
+      points[2 * i] = decoded[pk_slot[i]];
       scalars[2 * i + 1] = -weights[i];
-      points[2 * i + 1] = decoded[2 * i + 1];
+      points[2 * i + 1] = decoded[i];
     }
     return sum;
   });
@@ -90,14 +109,32 @@ Status BatchVerifySchnorr(std::span<const SchnorrBatchEntry> entries, Rng& rng) 
   for (const Scalar& p : partial) {
     combined_s = combined_s + p;
   }
-  // Every term's wire bytes are in hand (`raw` is what the points were
+  // Every term's wire bytes are in hand (`wire` is what the points were
   // decoded from), so the shared-base MSM can sum the weights of repeated
   // public keys — one term per distinct signer instead of one per signature.
   std::vector<uint8_t> keyed(2 * n, 1);
-  if (!MultiScalarMulShared(combined_s, scalars, points, raw, keyed).IsIdentity()) {
+  if (!MultiScalarMulShared(combined_s, scalars, points, wire, keyed).IsIdentity()) {
     return Status::Error("batch-schnorr: combined verification equation failed");
   }
   return Status::Ok();
+}
+
+std::array<uint8_t, 64> SchnorrBatchWeightSeed(std::string_view domain,
+                                               std::span<const SchnorrBatchEntry> entries) {
+  Sha512 h;
+  h.Update(AsBytes(domain));
+  for (const SchnorrBatchEntry& entry : entries) {
+    h.Update(entry.public_key);
+    h.Update(entry.signature.r_bytes);
+    h.Update(entry.signature.s.ToBytes());
+    std::array<uint8_t, 8> length{};
+    for (size_t b = 0; b < length.size(); ++b) {
+      length[b] = static_cast<uint8_t>(static_cast<uint64_t>(entry.message.size()) >> (8 * b));
+    }
+    h.Update(length);
+    h.Update(entry.message);
+  }
+  return h.Finalize();
 }
 
 std::array<uint8_t, 64> DleqBatchWeightSeed(std::string_view domain,

@@ -6,8 +6,10 @@
 // random 128-bit weights: if any single check fails, the combined equation
 // holds with probability at most 2^-128 (Schwartz–Zippel over Z_ℓ).
 //
-// Used by auditors who only need an accept/reject verdict for a whole
-// transcript section; the per-item paths remain for pinpointing failures.
+// Used wherever a whole section only needs an accept/reject verdict: the
+// auditor's replay and the tally's own validate stage (ballot signatures)
+// and release gate (decryption-share self-check). The per-item paths run
+// only after a batch rejects, to pinpoint the failure.
 #ifndef SRC_CRYPTO_BATCH_H_
 #define SRC_CRYPTO_BATCH_H_
 
@@ -45,6 +47,15 @@ struct SchnorrBatchEntry {
 // the batch only reports *that* something failed; callers fall back to the
 // per-item path to locate it.
 Status BatchVerifySchnorr(std::span<const SchnorrBatchEntry> entries, Rng& rng);
+
+// Deterministic weight seed for reproducible BatchVerifySchnorr calls: hashes
+// `domain` and, per entry, enc(P) ‖ enc(R) ‖ s ‖ LE64(|m|) ‖ m. The weights
+// therefore depend on every signature in the batch, so a signer cannot choose
+// signatures whose errors cancel under weights it knows in advance — and a
+// caller needs no randomness of its own (the tally's validate stage must not
+// draw from its transcript stream).
+std::array<uint8_t, 64> SchnorrBatchWeightSeed(std::string_view domain,
+                                               std::span<const SchnorrBatchEntry> entries);
 
 // One Fiat–Shamir DLEQ verification instance. Statements should carry their
 // producer-local wire caches (see src/crypto/dleq.h trust model) so challenge

@@ -291,14 +291,6 @@ std::atomic<uint64_t> g_table_hits{0};
 std::atomic<uint64_t> g_table_misses{0};
 std::atomic<uint64_t> g_table_evictions{0};
 
-// Wire keys are canonical ristretto encodings — statistically uniform bytes —
-// so the low 8 bytes are already a good hash.
-struct WireKeyHash {
-  size_t operator()(const CompressedRistretto& key) const {
-    return static_cast<size_t>(LoadLe64(key.data()));
-  }
-};
-
 // Mutex-guarded LRU of odd-multiple tables keyed by wire bytes. Lookups and
 // insertions take the lock; the 7-addition table build happens outside it.
 // Entries are handed out as shared_ptr so an eviction never invalidates a
@@ -345,7 +337,7 @@ class FixedBaseTableCache {
  private:
   std::mutex mu_;
   std::list<std::pair<CompressedRistretto, std::shared_ptr<const OddTable>>> lru_;
-  std::unordered_map<CompressedRistretto, decltype(lru_)::iterator, WireKeyHash> map_;
+  std::unordered_map<CompressedRistretto, decltype(lru_)::iterator, CompressedRistrettoHash> map_;
 };
 
 FixedBaseTableCache& TableCache() {
@@ -375,7 +367,7 @@ RistrettoPoint MultiScalarMulShared(const Scalar& base_scalar,
   term_points.reserve(n);
   term_keys.reserve(n);
   term_uses.reserve(n);
-  std::unordered_map<CompressedRistretto, size_t, WireKeyHash> first_seen;
+  std::unordered_map<CompressedRistretto, size_t, CompressedRistrettoHash> first_seen;
   const CompressedRistretto& base_wire = RistrettoPoint::BaseWire();
   uint64_t collapsed = 0;
   for (size_t i = 0; i < n; ++i) {

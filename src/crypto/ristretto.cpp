@@ -421,6 +421,10 @@ void BatchEncodePoints(std::span<const RistrettoPoint> points,
   });
 }
 
+size_t CompressedRistrettoHash::operator()(const CompressedRistretto& key) const {
+  return static_cast<size_t>(LoadLe64(key.data()));
+}
+
 size_t BatchDecodePoints(std::span<const CompressedRistretto> bytes,
                          std::span<RistrettoPoint> out, std::span<uint8_t> ok) {
   Require(bytes.size() == out.size() && bytes.size() == ok.size(),

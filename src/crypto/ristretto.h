@@ -118,6 +118,12 @@ class RistrettoPoint {
 // Convenience alias used by protocol signatures.
 using CompressedRistretto = std::array<uint8_t, 32>;
 
+// Hash for wire keys in unordered containers. Canonical encodings are
+// statistically uniform bytes, so the low 8 bytes are already a good hash.
+struct CompressedRistrettoHash {
+  size_t operator()(const CompressedRistretto& key) const;
+};
+
 // A fixed base P with its signed radix-16 table: entry [i][j] holds
 // (j+1) * 16^i * P in affine-Niels form (y+x, y-x, 2d*x*y) for i < 64,
 // j < 8, so Mul(s) costs one mixed addition per nonzero digit of s and no

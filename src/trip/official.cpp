@@ -1,6 +1,7 @@
 #include "src/trip/official.h"
 
 #include "src/common/serde.h"
+#include "src/crypto/drbg.h"
 #include "src/trip/kiosk.h"
 
 namespace votegral {
@@ -8,6 +9,8 @@ namespace votegral {
 namespace {
 
 constexpr std::string_view kOfficialDomain = "trip/sig/official-checkout/v1";
+constexpr std::string_view kRosterSignatureWeightDomain =
+    "votegral/verifier/roster-signature-weights/v1";
 
 }  // namespace
 
@@ -66,6 +69,18 @@ Status Official::CheckOut(const CheckOutSegment& checkout,
   return Status::Ok();
 }
 
+std::array<SchnorrBatchEntry, 2> RegistrationRecordSignatureEntries(
+    const RegistrationRecord& record) {
+  CheckOutSegment checkout;
+  checkout.voter_id = record.voter_id;
+  checkout.public_credential = record.public_credential;
+  checkout.kiosk_pk = record.kiosk_pk;
+  checkout.kiosk_sig = record.kiosk_sig;
+  return {SchnorrBatchEntry{record.kiosk_pk, checkout.SignedPayload(), record.kiosk_sig},
+          SchnorrBatchEntry{record.official_pk, OfficialCheckOutPayload(checkout),
+                            record.official_sig}};
+}
+
 Status VerifyRegistrationRecord(const RegistrationRecord& record,
                                 const std::set<CompressedRistretto>& authorized_kiosks,
                                 const std::set<CompressedRistretto>& authorized_officials) {
@@ -75,21 +90,50 @@ Status VerifyRegistrationRecord(const RegistrationRecord& record,
   if (authorized_officials.count(record.official_pk) == 0) {
     return Status::Error("registration record: unknown official key");
   }
-  CheckOutSegment checkout;
-  checkout.voter_id = record.voter_id;
-  checkout.public_credential = record.public_credential;
-  checkout.kiosk_pk = record.kiosk_pk;
-  checkout.kiosk_sig = record.kiosk_sig;
-  Status kiosk_sig = SchnorrVerify(record.kiosk_pk, checkout.SignedPayload(), record.kiosk_sig);
-  if (!kiosk_sig.ok()) {
+  const auto [kiosk, official] = RegistrationRecordSignatureEntries(record);
+  if (!SchnorrVerify(kiosk.public_key, kiosk.message, kiosk.signature).ok()) {
     return Status::Error("registration record: kiosk signature invalid");
   }
-  Status official_sig = SchnorrVerify(record.official_pk, OfficialCheckOutPayload(checkout),
-                                      record.official_sig);
-  if (!official_sig.ok()) {
+  if (!SchnorrVerify(official.public_key, official.message, official.signature).ok()) {
     return Status::Error("registration record: official signature invalid");
   }
   return Status::Ok();
+}
+
+Status VerifyRegistrationRecords(std::span<const RegistrationRecord> records,
+                                 const std::set<CompressedRistretto>& authorized_kiosks,
+                                 const std::set<CompressedRistretto>& authorized_officials,
+                                 Executor& executor) {
+  const size_t n = records.size();
+  std::vector<SchnorrBatchEntry> entries(2 * n);
+  std::vector<uint8_t> unauthorized(n, 0);
+  executor.ParallelForEach(n, [&](size_t i) {
+    if (authorized_kiosks.count(records[i].kiosk_pk) == 0 ||
+        authorized_officials.count(records[i].official_pk) == 0) {
+      unauthorized[i] = 1;
+      return;
+    }
+    auto [kiosk, official] = RegistrationRecordSignatureEntries(records[i]);
+    entries[2 * i] = std::move(kiosk);
+    entries[2 * i + 1] = std::move(official);
+  });
+  if (!FirstMarked(unauthorized).has_value()) {
+    ChaChaRng weights(SchnorrBatchWeightSeed(kRosterSignatureWeightDomain, entries));
+    Executor::Scope scope(executor);
+    if (BatchVerifySchnorr(entries, weights).ok()) {
+      return Status::Ok();
+    }
+  }
+  // Localize with the exact per-record check: the lowest failing position
+  // and its error string are what the per-record loop alone would report.
+  if (auto i = ParallelFirstFailure(executor, n, [&](size_t i) {
+        return VerifyRegistrationRecord(records[i], authorized_kiosks, authorized_officials)
+            .ok();
+      });
+      i.has_value()) {
+    return VerifyRegistrationRecord(records[*i], authorized_kiosks, authorized_officials);
+  }
+  return Status::Error("registration record: batched signature check failed");
 }
 
 }  // namespace votegral

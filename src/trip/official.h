@@ -9,8 +9,10 @@
 #include <set>
 #include <string>
 
+#include "src/common/executor.h"
 #include "src/common/outcome.h"
 #include "src/common/rng.h"
+#include "src/crypto/batch.h"
 #include "src/crypto/schnorr.h"
 #include "src/ledger/subledgers.h"
 #include "src/trip/messages.h"
@@ -50,12 +52,29 @@ class Official {
 // The byte string the official's check-out signature σ_o covers.
 Bytes OfficialCheckOutPayload(const CheckOutSegment& checkout);
 
+// The two signatures a registration record carries, as batch entries:
+// [0] the kiosk's σ_kot over the check-out segment, [1] the official's σ_o
+// over OfficialCheckOutPayload. The one definition of what a record signs,
+// shared by the per-record and the batched check.
+std::array<SchnorrBatchEntry, 2> RegistrationRecordSignatureEntries(
+    const RegistrationRecord& record);
+
 // Verifies the full signature chain of a posted registration record:
 // kiosk authorization, σ_kot, and σ_o. Used by auditors and the universal
 // verifier.
 Status VerifyRegistrationRecord(const RegistrationRecord& record,
                                 const std::set<CompressedRistretto>& authorized_kiosks,
                                 const std::set<CompressedRistretto>& authorized_officials);
+
+// Verifies every record's chain as VerifyRegistrationRecord would, with all
+// 2·n signatures folded into one BatchVerifySchnorr call (weights seeded by
+// SchnorrBatchWeightSeed over the batch). The per-record path runs only when
+// an authorization check or the batch fails, and then returns exactly the
+// lowest-positioned record's VerifyRegistrationRecord error.
+Status VerifyRegistrationRecords(std::span<const RegistrationRecord> records,
+                                 const std::set<CompressedRistretto>& authorized_kiosks,
+                                 const std::set<CompressedRistretto>& authorized_officials,
+                                 Executor& executor);
 
 }  // namespace votegral
 

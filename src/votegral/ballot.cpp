@@ -241,23 +241,27 @@ Status CheckRevoteBallot(const RevoteBallot& ballot, const RistrettoPoint& autho
   return Status::Ok();
 }
 
+std::array<SchnorrBatchEntry, 2> BallotSignatureEntries(const Ballot& ballot) {
+  // Kiosk certificate: σ_kr over (c_pk ‖ H(e‖r)) — proves the credential was
+  // issued by a registrar kiosk (real or fake, deliberately indistinct).
+  return {SchnorrBatchEntry{ballot.kiosk_pk,
+                            ResponseSegment::SignedPayload(ballot.credential_pk,
+                                                           ballot.kiosk_cert_hash),
+                            ballot.kiosk_cert},
+          SchnorrBatchEntry{ballot.credential_pk, ballot.SignedPayload(),
+                            ballot.credential_sig}};
+}
+
 Status CheckBallot(const Ballot& ballot,
                    const std::set<CompressedRistretto>& authorized_kiosks) {
   if (authorized_kiosks.count(ballot.kiosk_pk) == 0) {
     return Status::Error("ballot: kiosk not authorized");
   }
-  // Kiosk certificate: σ_kr over (c_pk ‖ H(e‖r)) — proves the credential was
-  // issued by a registrar kiosk (real or fake, deliberately indistinct).
-  Status cert = SchnorrVerify(
-      ballot.kiosk_pk,
-      ResponseSegment::SignedPayload(ballot.credential_pk, ballot.kiosk_cert_hash),
-      ballot.kiosk_cert);
-  if (!cert.ok()) {
+  const auto [cert, sig] = BallotSignatureEntries(ballot);
+  if (!SchnorrVerify(cert.public_key, cert.message, cert.signature).ok()) {
     return Status::Error("ballot: kiosk certificate invalid");
   }
-  Status sig = SchnorrVerify(ballot.credential_pk, ballot.SignedPayload(),
-                             ballot.credential_sig);
-  if (!sig.ok()) {
+  if (!SchnorrVerify(sig.public_key, sig.message, sig.signature).ok()) {
     return Status::Error("ballot: credential signature invalid");
   }
   return Status::Ok();

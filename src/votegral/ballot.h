@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/crypto/batch.h"
 #include "src/crypto/elgamal.h"
 #include "src/crypto/schnorr.h"
 #include "src/trip/vsd.h"
@@ -64,6 +65,13 @@ struct Ballot {
 // Forms a ballot for `candidate_index` using an activated credential.
 Ballot MakeBallot(const ActivatedCredential& credential, const CandidateList& candidates,
                   size_t candidate_index, const RistrettoPoint& authority_pk, Rng& rng);
+
+// The two signatures a ballot carries, as batch entries: [0] the kiosk
+// certificate σ_kr over (c_pk ‖ H(e‖r)) under K_pk, [1] the credential
+// signature over SignedPayload() under c_pk. The one definition of what a
+// ballot signs — CheckBallot verifies these entries one by one, the validate
+// stage folds a shard's worth into one BatchVerifySchnorr call.
+std::array<SchnorrBatchEntry, 2> BallotSignatureEntries(const Ballot& ballot);
 
 // Structural/eligibility validation performed by the tally service and by
 // anyone auditing L_V: credential signature, kiosk certificate, and kiosk

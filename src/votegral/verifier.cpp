@@ -418,17 +418,14 @@ Status VerifyElection(const PublicLedger& ledger, const VerifierParams& params,
     }
   }
 
-  // Every registration record's signature chain must verify (independent
-  // per record; first failure reported by roster position).
+  // Every registration record's signature chain must verify: all 2·n
+  // signatures as one batch, with the per-record pass (first failure by
+  // roster position) only when the batch rejects.
   std::vector<RegistrationRecord> roster = ledger.ActiveRegistrations();
-  if (auto i = ParallelFirstFailure(executor, roster.size(), [&](size_t i) {
-        return VerifyRegistrationRecord(roster[i], params.authorized_kiosks,
-                                        params.authorized_officials)
-            .ok();
-      });
-      i.has_value()) {
-    return VerifyRegistrationRecord(roster[*i], params.authorized_kiosks,
-                                    params.authorized_officials);
+  if (Status s = VerifyRegistrationRecords(roster, params.authorized_kiosks,
+                                           params.authorized_officials, executor);
+      !s.ok()) {
+    return s;
   }
 
   // Mix stage replay: inputs must match the accepted ballots / active

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "src/common/clock.h"
+#include "src/common/executor.h"
 #include "src/crypto/drbg.h"
+#include "src/trip/official.h"
 #include "src/trip/registrar.h"
 #include "src/votegral/election.h"
 
@@ -195,6 +197,106 @@ TEST(Availability, TallyToleratesGarbageAndEmptyLogs) {
                 output.result.discards.invalid_signature,
             50u);
   EXPECT_TRUE(election.Verify(output).ok());
+}
+
+TEST(BatchedValidation, OneBadCredentialSignatureAmongValidBallotsInAShard) {
+  // The validate stage checks a shard's signatures as one batch and only
+  // falls back to per-ballot checks when the batch rejects. One ballot with
+  // a valid kiosk certificate but a broken credential signature, sharing its
+  // shard with valid ballots, must be the only discard — in the tally and in
+  // the verifier's replay alike.
+  ChaChaRng rng(1010);
+  const std::vector<std::string> voters = {"v0", "v1", "v2", "v3"};
+  Election election(SmallConfig(voters), rng);
+  Vsd vsd = election.trip().MakeVsd();
+  std::vector<ActivatedCredential> credentials;
+  for (const std::string& voter : voters) {
+    auto registered = election.Register(voter, 0, vsd, rng);
+    ASSERT_TRUE(registered.ok());
+    credentials.push_back(registered->activated[0]);
+  }
+  auto cast_round = [&](int round) {
+    for (size_t v = 0; v < credentials.size(); ++v) {
+      ASSERT_TRUE(election.Cast(credentials[v], (round + v) % 2 == 0 ? "A" : "B", rng).ok());
+    }
+  };
+  for (int round = 0; round < 20; ++round) {
+    cast_round(round);
+  }
+  const size_t bad_index = election.ledger().BallotCount();
+  auto lifted = Ballot::Parse(election.ledger().AllBallots().back());
+  ASSERT_TRUE(lifted.has_value());
+  Ballot bad = *lifted;
+  bad.credential_sig.s = bad.credential_sig.s + Scalar::One();
+  ASSERT_EQ(CheckBallot(bad, election.trip().authorized_kiosks()).reason(),
+            "ballot: credential signature invalid");
+  election.ledger().PostBallot(bad.Serialize());
+  for (int round = 20; round < 40; ++round) {
+    cast_round(round);
+  }
+
+  // The bad ballot's validate shard also holds valid ballots.
+  const size_t n = election.ledger().BallotCount();
+  bool shared_shard = false;
+  for (const auto& [begin, end] : Executor::Shards(n, Executor::kRngShards)) {
+    if (begin <= bad_index && bad_index < end) {
+      shared_shard = end - begin > 1;
+    }
+  }
+  ASSERT_TRUE(shared_shard);
+
+  TallyDiscards discards;
+  std::vector<Ballot> accepted =
+      ValidateAndDeduplicate(election.ledger(), election.trip().authorized_kiosks(), &discards);
+  EXPECT_EQ(discards.invalid_signature, 1u);
+  EXPECT_EQ(discards.invalid_structure, 0u);
+  EXPECT_EQ(accepted.size(), voters.size());
+
+  TallyOutput output = election.Tally(rng);
+  EXPECT_EQ(output.result.discards.invalid_signature, 1u);
+  ASSERT_EQ(output.transcript.accepted_ballots.size(), accepted.size());
+  for (size_t i = 0; i < accepted.size(); ++i) {
+    EXPECT_EQ(output.transcript.accepted_ballots[i].Serialize(), accepted[i].Serialize()) << i;
+  }
+  EXPECT_EQ(output.result.counted, voters.size());
+  EXPECT_TRUE(election.Verify(output).ok());
+}
+
+TEST(BatchedValidation, BadOfficialSignatureInRosterNamedExactly) {
+  // The verifier checks every roster signature as one batch; when it
+  // rejects, the per-record pass must report the lowest failing record with
+  // its exact reason. Record 3 carries a broken official signature and
+  // record 5 a broken kiosk signature, so record 3's reason wins.
+  ChaChaRng rng(1011);
+  const std::vector<std::string> voters = {"v0", "v1", "v2", "v3", "v4", "v5", "v6"};
+  Election election(SmallConfig(voters), rng);
+  Vsd vsd = election.trip().MakeVsd();
+  for (const std::string& voter : voters) {
+    auto registered = election.Register(voter, 0, vsd, rng);
+    ASSERT_TRUE(registered.ok());
+    ASSERT_TRUE(election.Cast(registered->activated[0], "A", rng).ok());
+  }
+  auto repost = [&](const std::string& voter, bool break_official) {
+    auto record = election.ledger().ActiveRegistration(voter);
+    ASSERT_TRUE(record.has_value());
+    SchnorrSignature& sig = break_official ? record->official_sig : record->kiosk_sig;
+    sig.s = sig.s + Scalar::One();
+    ASSERT_TRUE(election.ledger().PostRegistration(*record).ok());
+  };
+  repost("v3", /*break_official=*/true);
+  repost("v5", /*break_official=*/false);
+  const std::vector<RegistrationRecord> roster = election.ledger().ActiveRegistrations();
+  ASSERT_EQ(roster.size(), voters.size());
+  ASSERT_EQ(roster[3].voter_id, "v3");
+
+  TallyOutput output = election.Tally(rng);
+  Status status = election.Verify(output);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.reason(), "registration record: official signature invalid");
+  Status direct = VerifyRegistrationRecords(roster, election.trip().authorized_kiosks(),
+                                            election.trip().authorized_officials(),
+                                            election.executor());
+  EXPECT_EQ(direct.reason(), "registration record: official signature invalid");
 }
 
 }  // namespace

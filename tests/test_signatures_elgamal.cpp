@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/bytes.h"
+#include "src/crypto/batch.h"
 #include "src/crypto/drbg.h"
 #include "src/crypto/elgamal.h"
 #include "src/crypto/schnorr.h"
@@ -83,6 +84,127 @@ TEST(Schnorr, FromSecretReconstructsSamePublicKey) {
   auto kp = SchnorrKeyPair::Generate(rng);
   auto restored = SchnorrKeyPair::FromSecret(kp.secret());
   EXPECT_EQ(restored.public_bytes(), kp.public_bytes());
+}
+
+// ---- Batched vs per-item Schnorr verification (differential) ----
+
+enum class SchnorrMutation {
+  kFlipS,
+  kFlipRByte,
+  kNonCanonicalR,
+  kUndecodableKey,
+  kAlteredMessage,
+  kSwappedKey,
+};
+
+constexpr SchnorrMutation kAllSchnorrMutations[] = {
+    SchnorrMutation::kFlipS,          SchnorrMutation::kFlipRByte,
+    SchnorrMutation::kNonCanonicalR,  SchnorrMutation::kUndecodableKey,
+    SchnorrMutation::kAlteredMessage, SchnorrMutation::kSwappedKey,
+};
+
+// p - x over 32-byte little-endian field elements (p = 2^255 - 19). For a
+// canonical encoding enc(R) = x this is the "negative" twin -x: ristretto
+// decoding computes R from x² and |x|, so without its sign check it would
+// accept these bytes as R.
+CompressedRistretto NegatedFieldEncoding(const CompressedRistretto& x) {
+  CompressedRistretto out{};
+  int borrow = 0;
+  for (size_t i = 0; i < 32; ++i) {
+    const int p_byte = i == 0 ? 0xed : (i == 31 ? 0x7f : 0xff);
+    int d = p_byte - x[i] - borrow;
+    borrow = d < 0 ? 1 : 0;
+    out[i] = static_cast<uint8_t>(d + 256 * borrow);
+  }
+  return out;
+}
+
+std::vector<SchnorrBatchEntry> SignedSchnorrBatch(size_t n, bool shared_key, Rng& rng) {
+  const SchnorrKeyPair shared = SchnorrKeyPair::Generate(rng);
+  std::vector<SchnorrBatchEntry> entries;
+  for (size_t i = 0; i < n; ++i) {
+    const SchnorrKeyPair key = shared_key ? shared : SchnorrKeyPair::Generate(rng);
+    SchnorrBatchEntry entry;
+    entry.public_key = key.public_bytes();
+    entry.message = rng.RandomBytes(20 + i);
+    entry.signature = key.Sign(entry.message, rng);
+    entries.push_back(std::move(entry));
+  }
+  return entries;
+}
+
+// Corrupts entries[victim] so exactly that entry's signature is invalid.
+void MutateSchnorrEntry(std::vector<SchnorrBatchEntry>& entries, size_t victim,
+                        SchnorrMutation mutation, const CompressedRistretto& stranger_key) {
+  SchnorrBatchEntry& e = entries[victim];
+  switch (mutation) {
+    case SchnorrMutation::kFlipS:
+      e.signature.s = e.signature.s + Scalar::One();
+      break;
+    case SchnorrMutation::kFlipRByte:
+      e.signature.r_bytes[7] ^= 0x10;
+      break;
+    case SchnorrMutation::kNonCanonicalR:
+      e.signature.r_bytes = NegatedFieldEncoding(e.signature.r_bytes);
+      break;
+    case SchnorrMutation::kUndecodableKey:
+      e.public_key[0] ^= 1;  // odd x: a negative field element never decodes
+      break;
+    case SchnorrMutation::kAlteredMessage:
+      e.message[0] ^= 1;
+      break;
+    case SchnorrMutation::kSwappedKey: {
+      // Another signer's valid key: the neighbour's in a distinct-key batch,
+      // a stranger's when every entry shares one key.
+      const CompressedRistretto& neighbour = entries[(victim + 1) % entries.size()].public_key;
+      e.public_key = neighbour == e.public_key ? stranger_key : neighbour;
+      break;
+    }
+  }
+}
+
+TEST(SchnorrBatch, DerivedWeightsRejectEveryMutationAndAgreeWithPerItem) {
+  constexpr std::string_view kDomain = "test/schnorr-batch-weights/v1";
+  ChaChaRng rng(57);
+  const CompressedRistretto stranger = SchnorrKeyPair::Generate(rng).public_bytes();
+  for (bool shared_key : {true, false}) {
+    const std::vector<SchnorrBatchEntry> clean = SignedSchnorrBatch(12, shared_key, rng);
+    const auto clean_seed = SchnorrBatchWeightSeed(kDomain, clean);
+    ChaChaRng clean_weights(clean_seed);
+    ASSERT_TRUE(BatchVerifySchnorr(clean, clean_weights).ok());
+    for (const SchnorrBatchEntry& e : clean) {
+      ASSERT_TRUE(SchnorrVerify(e.public_key, e.message, e.signature).ok());
+    }
+    for (SchnorrMutation mutation : kAllSchnorrMutations) {
+      for (size_t victim : {size_t{0}, size_t{5}, size_t{11}}) {
+        std::vector<SchnorrBatchEntry> batch = clean;
+        MutateSchnorrEntry(batch, victim, mutation, stranger);
+        const auto seed = SchnorrBatchWeightSeed(kDomain, batch);
+        EXPECT_NE(seed, clean_seed);  // the weights bind every entry field
+        ChaChaRng weights(seed);
+        EXPECT_FALSE(BatchVerifySchnorr(batch, weights).ok())
+            << "shared_key " << shared_key << " mutation " << static_cast<int>(mutation)
+            << " victim " << victim;
+        for (size_t i = 0; i < batch.size(); ++i) {
+          EXPECT_EQ(SchnorrVerify(batch[i].public_key, batch[i].message, batch[i].signature)
+                        .ok(),
+                    i != victim)
+              << "shared_key " << shared_key << " mutation " << static_cast<int>(mutation)
+              << " victim " << victim << " entry " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(SchnorrBatch, NegatedFieldEncodingIsRejectedByDecode) {
+  // The kNonCanonicalR mutation above must be a rejected encoding, not some
+  // other valid point that would make the check vacuous.
+  ChaChaRng rng(58);
+  for (int i = 0; i < 8; ++i) {
+    const CompressedRistretto enc = RistrettoPoint::MulBase(Scalar::Random(rng)).Encode();
+    EXPECT_FALSE(RistrettoPoint::Decode(NegatedFieldEncoding(enc)).has_value());
+  }
 }
 
 TEST(ElGamal, EncryptDecryptRoundTrip) {
