@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/bytes.h"
 #include "src/common/executor.h"
 #include "src/crypto/msm.h"
 #include "src/crypto/sha512.h"
@@ -127,10 +128,8 @@ std::array<uint8_t, 64> SchnorrBatchWeightSeed(std::string_view domain,
     h.Update(entry.public_key);
     h.Update(entry.signature.r_bytes);
     h.Update(entry.signature.s.ToBytes());
-    std::array<uint8_t, 8> length{};
-    for (size_t b = 0; b < length.size(); ++b) {
-      length[b] = static_cast<uint8_t>(static_cast<uint64_t>(entry.message.size()) >> (8 * b));
-    }
+    std::array<uint8_t, 8> length;
+    StoreLe64(length.data(), entry.message.size());
     h.Update(length);
     h.Update(entry.message);
   }
